@@ -171,6 +171,9 @@ type t = {
   view_preds : string list;
   view_set : Sset.t;
   view_program : Ast.program;  (* the rules that define the views *)
+  (* Location column of each view-program predicate, computed once:
+     every refresh and renewal reads it. *)
+  view_locs : (string, int) Hashtbl.t;
   (* Compiled dataflow strands of the pipelined rules, indexed by their
      trigger (delta) predicate: the Click execution model. *)
   strands : (string, Ndlog.Plan.strand list) Hashtbl.t;
@@ -230,10 +233,9 @@ let pp_remote_view_error ppf e =
        the remote copies could never be deleted"
       e.rv_rule e.rv_pred p
 
-(* Location-column bookkeeping is shared with the sharded evaluator:
+(* Location-column bookkeeping is shared with the model checker:
    {!Ndlog.Shard} owns the tuple-to-owner mapping. *)
 let tuple_location = Ndlog.Shard.tuple_location
-let loc_index_map = Ndlog.Shard.loc_index_map
 
 exception
   Missing_tuple_location of {
@@ -514,6 +516,7 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views ?tuple_ids
       view_preds;
       view_set = List.fold_left (fun s p -> Sset.add p s) Sset.empty view_preds;
       view_program;
+      view_locs = Ndlog.Shard.loc_index_map view_program;
       strands = strands';
       tuple_ids;
       istrands;
@@ -1128,10 +1131,9 @@ and refresh_node_ids t self =
   (* Commit: replay the net movement onto the previous-fixpoint stash
      and the shipped sets, ship fresh remote-owned tuples (diff-only),
      and return the stored relations to their between-refresh shape. *)
-  let locs = loc_index_map t.view_program in
   List.iter
     (fun pred ->
-      let locopt = Hashtbl.find_opt locs pred in
+      let locopt = Hashtbl.find_opt t.view_locs pred in
       let adds, rems =
         match Hashtbl.find_opt net_tbl pred with
         | Some m -> m
@@ -1227,7 +1229,6 @@ and refresh_node t self =
      other nodes, which the local base cannot re-derive and whose
      retirement is their own lease's business — and ship the remote
      view tuples the destination has not already been sent. *)
-  let locs = loc_index_map t.view_program in
   List.iter
     (fun pred ->
       let new_rel = Store.relation pred fresh in
@@ -1235,7 +1236,7 @@ and refresh_node t self =
       let local_new =
         Store.Tset.filter
           (fun tuple ->
-            match tuple_location (Hashtbl.find_opt locs pred) tuple with
+            match tuple_location (Hashtbl.find_opt t.view_locs pred) tuple with
             | Some owner -> owner = self
             | None -> true)
           new_rel
@@ -1243,7 +1244,7 @@ and refresh_node t self =
       let remote_new =
         Store.Tset.filter
           (fun tuple ->
-            match tuple_location (Hashtbl.find_opt locs pred) tuple with
+            match tuple_location (Hashtbl.find_opt t.view_locs pred) tuple with
             | Some owner -> owner <> self
             | None -> false)
           new_rel
@@ -1262,7 +1263,7 @@ and refresh_node t self =
         (fun tuple ->
           ignore
             (t.transport.Transport.send ~src:self
-               ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
+               ~dst:(owner_exn (Hashtbl.find_opt t.view_locs pred) pred tuple)
                { pred; tuple; ids = None }))
         (Store.Tset.diff remote_new already);
       Hashtbl.replace ns.shipped pred remote_new;
@@ -1299,12 +1300,11 @@ and renew t self pred lifetime =
     | None -> ()
     | Some set when Store.Tset.is_empty set -> ()
     | Some set ->
-      let locs = loc_index_map t.view_program in
       Store.Tset.iter
         (fun tuple ->
           ignore
             (t.transport.Transport.send ~src:self
-               ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
+               ~dst:(owner_exn (Hashtbl.find_opt t.view_locs pred) pred tuple)
                { pred; tuple; ids = None }))
         set;
       ensure_renewal t self pred lifetime
@@ -1319,12 +1319,11 @@ and renew_ids t self pred lifetime =
   | None -> ()
   | Some set when Fset.is_empty set -> ()
   | Some set ->
-    let locs = loc_index_map t.view_program in
     List.iter
       (fun (tuple, ids) ->
         ignore
           (t.transport.Transport.send ~src:self
-             ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
+             ~dst:(owner_exn (Hashtbl.find_opt t.view_locs pred) pred tuple)
              { pred; tuple; ids = Some ids }))
       (List.sort
          (fun (a, _) (b, _) -> Store.Tuple.compare a b)

@@ -81,10 +81,11 @@ module Table = struct
     canon : 'state -> 'state;
     tbl : (int, ('state * int) list ref) Hashtbl.t;
     (* hash -> (canonical state, visitation id) bucket *)
+    mutable size : int;  (* entries over all buckets *)
   }
 
   let create ?(equal = ( = )) ?(hash = Hashtbl.hash) ?(canon = Fun.id) () =
-    { equal; hash; canon; tbl = Hashtbl.create 1024 }
+    { equal; hash; canon; tbl = Hashtbl.create 1024; size = 0 }
 
   let of_system ?canon (sys : ('state, 'action) sys) =
     create ~equal:sys.equal ~hash:sys.hash ?canon ()
@@ -99,12 +100,13 @@ module Table = struct
   let add (t : 'state t) s id =
     let s = t.canon s in
     let h = t.hash s in
+    t.size <- t.size + 1;
     match Hashtbl.find_opt t.tbl h with
     | None -> Hashtbl.replace t.tbl h (ref [ (s, id) ])
     | Some bucket -> bucket := (s, id) :: !bucket
 
   let mem t s = find t s <> None
-  let size t = Hashtbl.fold (fun _ b acc -> acc + List.length !b) t.tbl 0
+  let size t = t.size
   let buckets t = Hashtbl.length t.tbl
 
   let max_bucket t =

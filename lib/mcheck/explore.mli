@@ -97,6 +97,7 @@ module Table : sig
   val add : 'state t -> 'state -> int -> unit
   val mem : 'state t -> 'state -> bool
   val size : 'state t -> int
+  (** Entries added so far (a state added twice counts twice); O(1). *)
 
   val buckets : 'state t -> int
   (** Distinct hash values present. *)

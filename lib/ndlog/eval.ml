@@ -1,16 +1,10 @@
 (* Bottom-up evaluation of NDlog programs.
 
-   Three evaluators over the same rule-application core:
+   Two evaluators over the same rule-application core:
    - [naive]: re-derives everything from the full database each round;
-   - [seminaive]: classic delta iteration, per stratum;
-   - [seminaive_sharded]: partitions the database by the
-     location-specifier column ({!Shard}) and runs per-shard semi-naive
-     fixpoints in parallel on OCaml domains ({!Pool}), exchanging
-     foreign-located head tuples between shards — exactly the tuples
-     the distributed runtime would send as messages — until a global
-     fixpoint.
+   - [seminaive]: classic delta iteration, per stratum.
 
-   All respect the stratification computed by {!Analysis}: strata are
+   Both respect the stratification computed by {!Analysis}: strata are
    evaluated bottom-up; aggregate rules of a stratum run once at stratum
    entry (their body predicates are strictly lower, hence complete);
    remaining rules run to fixpoint.
@@ -31,8 +25,7 @@
 
    Instrumentation is per run: callers pass a {!counters} accumulator
    (or read the [stats] field of the {!outcome}); there is no global
-   mutable state, so concurrent evaluations — including the per-shard
-   fixpoints, which each own a private accumulator — never interfere.
+   mutable state, so concurrent evaluations never interfere.
 
    Evaluation is guarded by [max_rounds]; a program that fails to reach a
    fixpoint within the bound (e.g. distance-vector count-to-infinity) is
@@ -91,9 +84,8 @@ let add_stats a b =
     refresh_fallbacks = a.refresh_fallbacks + b.refresh_fallbacks;
   }
 
-(* A mutable accumulator for one evaluation run.  Each run (and each
-   shard of a sharded run) owns its own record, so counts never bleed
-   between runs or race between domains. *)
+(* A mutable accumulator for one evaluation run.  Each run owns its own
+   record, so counts never bleed between runs. *)
 type counters = {
   mutable c_index_hits : int;
   mutable c_scans : int;
@@ -156,11 +148,6 @@ let pp_stats ppf s =
 let use_indexes = ref true
 let use_reordering = ref true
 let use_batching = ref true
-
-(* Value interning / flat index representation lives in {!Store}; the
-   switch is re-exported here so all evaluator knobs sit in one place
-   (FVN_INTERNING=0 selects the boxed oracle, see {!Intern.enabled}). *)
-let use_interning = Intern.enabled
 
 (* ------------------------------------------------------------------ *)
 (* Rule application. *)
@@ -990,308 +977,6 @@ let seminaive_stratum ?(max_rounds = 10_000) ?stats (p : Ast.program)
   (db, converged)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded evaluation.
-
-   The database is partitioned by the location-specifier column
-   ({!Shard.partition}); each shard runs the ordinary semi-naive core
-   over its slice (plus the replicated relations), and head tuples
-   located at another shard are routed to an outbox instead of being
-   stored — exactly the tuples {!Dist.Runtime} would send as messages.
-   A sequential exchange step delivers outboxes (receiver-side
-   deduplication guarantees termination: a tuple already present is
-   dropped), and shards that received anything re-run on the received
-   delta, until no shard receives a new tuple.  Per-shard fixpoints of
-   one such global round are independent, so they run in parallel on a
-   domain pool.
-
-   Determinism: the shard decomposition, exchange order, and per-shard
-   accounting are independent of the domain count, so the outcome
-   (database, rounds, derivations, convergence, stats) is identical for
-   any [~domains] — only wall-clock time changes.  Rounds are counted
-   as the sum over global rounds of the *maximum* local round count
-   (the parallel depth); derivation and join counters sum over shards
-   in shard order.  Both therefore differ numerically from the
-   centralized evaluator's schedule-dependent counts, but the fixpoint
-   database and convergence flag coincide (checked by property).
-
-   Soundness leans on {!Shard.analyze} (see shard.ml): every rule body
-   reads one location's slice plus replicated relations, negated
-   located atoms test membership at the body's own location (located
-   tuples live only in their owner shard, so the local check equals the
-   global one), and aggregate rules over located bodies group by the
-   location variable, making groups shard-local.  Aggregate rules over
-   purely replicated bodies are evaluated once against the replicated
-   store rather than redundantly per shard. *)
-
-type shard_state = {
-  skey : Value.t;  (* this shard's location value *)
-  sc : counters;  (* private join counters (merged in shard order) *)
-  mutable sdb : Store.t;  (* replicated ∪ tuples located here *)
-  mutable incoming : Store.t;  (* delta received since the last run *)
-  mutable sderiv : int;
-  mutable last_rounds : int;  (* local rounds of the last run *)
-  mutable last_converged : bool;
-  mutable outbox : (Value.t * string * Store.Tuple.t) list;
-  mutable obroadcast : Store.t;  (* new unlocated tuples of the last run *)
-}
-
-type shard_ctx = {
-  plan : Shard.plan;
-  mutable shards : shard_state array;  (* deterministic discovery order *)
-  stbl : (Value.t, int) Hashtbl.t;  (* shard key -> index in [shards] *)
-  mutable repl : Store.t;  (* canonical replicated (unlocated) store *)
-}
-
-let mkshard key sdb incoming =
-  {
-    skey = key;
-    sc = counters ();
-    sdb;
-    incoming;
-    sderiv = 0;
-    last_rounds = 0;
-    last_converged = true;
-    outbox = [];
-    obroadcast = Store.empty;
-  }
-
-(* The shard owning [key], created on first delivery: a fresh shard
-   starts from the replicated store alone (no tuple was located there,
-   or the shard would already exist). *)
-let shard_for ctx key =
-  match Hashtbl.find_opt ctx.stbl key with
-  | Some i -> ctx.shards.(i)
-  | None ->
-    let s = mkshard key ctx.repl Store.empty in
-    Hashtbl.add ctx.stbl key (Array.length ctx.shards);
-    ctx.shards <- Array.append ctx.shards [| s |];
-    s
-
-(* Deliver one located tuple to its owner shard; receiver-side dedup.
-   [delta] additionally records it as incoming (stage-B exchange; the
-   stage-A aggregate deliveries precede a full round and need none). *)
-let deliver ctx ~delta key pred tuple =
-  let s = shard_for ctx key in
-  if not (Store.mem pred tuple s.sdb) then begin
-    s.sdb <- Store.add pred tuple s.sdb;
-    if delta then s.incoming <- Store.add pred tuple s.incoming
-  end
-
-(* Broadcast one unlocated tuple: into the replicated store and every
-   live shard (shards created later start from the updated [repl]). *)
-let broadcast ctx ~delta pred tuple =
-  if not (Store.mem pred tuple ctx.repl) then
-    ctx.repl <- Store.add pred tuple ctx.repl;
-  Array.iter
-    (fun s ->
-      if not (Store.mem pred tuple s.sdb) then begin
-        s.sdb <- Store.add pred tuple s.sdb;
-        if delta then s.incoming <- Store.add pred tuple s.incoming
-      end)
-    ctx.shards
-
-(* One shard-local semi-naive fixpoint over the stratum's plain rules.
-   Foreign-located heads go to the outbox (never into [sdb]); new
-   unlocated heads are kept locally and queued for broadcast.  Runs
-   inside a pool task: touches only its own shard. *)
-let local_fixpoint ctx plain_rules rec_preds ~budget (s : shard_state) ~init =
-  let count = ref 0 and lrounds = ref 0 in
-  let outbox = ref [] and obroadcast = ref Store.empty in
-  let absorb derived =
-    let routed = Shard.route ctx.plan ~self:s.skey derived in
-    outbox := List.rev_append routed.Shard.foreign !outbox;
-    let delta = Store.diff routed.Shard.local s.sdb in
-    obroadcast :=
-      Store.union !obroadcast (Store.diff routed.Shard.everywhere s.sdb);
-    s.sdb <- Store.union s.sdb delta;
-    delta
-  in
-  let step ?deltas () =
-    incr lrounds;
-    absorb (apply_plain_rules s.sc s.sdb ?deltas ~rec_preds plain_rules ~count)
-  in
-  let first =
-    match init with `Full -> step () | `Delta d -> step ~deltas:d ()
-  in
-  let rec loop delta =
-    if Store.is_empty delta then true
-    else if !lrounds >= budget then false
-    else loop (step ~deltas:delta ())
-  in
-  let converged = loop first in
-  s.sderiv <- s.sderiv + !count;
-  s.last_rounds <- !lrounds;
-  s.last_converged <- converged;
-  s.outbox <- List.rev !outbox;
-  s.obroadcast <- !obroadcast
-
-(* Deliver every outbox and broadcast queue, in shard order (shards
-   created mid-exchange are appended and visited too; their queues are
-   empty).  Deterministic regardless of which domain ran which shard. *)
-let exchange ctx ~delta =
-  let i = ref 0 in
-  while !i < Array.length ctx.shards do
-    let s = ctx.shards.(!i) in
-    List.iter (fun (key, pred, t) -> deliver ctx ~delta key pred t) s.outbox;
-    s.outbox <- [];
-    List.iter
-      (fun (pred, t) -> broadcast ctx ~delta pred t)
-      (Store.to_list s.obroadcast);
-    s.obroadcast <- Store.empty;
-    incr i
-  done
-
-(* One stratum of the sharded evaluation; [true] when it converged
-   within the round budget. *)
-let eval_stratum_sharded ctx pool (p : Ast.program) stratum ~max_rounds
-    ~rounds ~extra_deriv ~extra_st =
-  let rules = rules_of_stratum p stratum in
-  let agg_rules, plain_rules = split_agg rules in
-  (* Stage A: aggregate rules, once at stratum entry.  Located bodies
-     run per shard (groups are shard-local by [Shard.analyze]);
-     replicated bodies run once against the replicated store.  Heads
-     are routed before the full round below. *)
-  let located_body (r : Ast.rule) =
-    List.exists
-      (fun (a : Ast.atom) -> Shard.loc_index ctx.plan a.pred <> None)
-      (Ast.body_atoms r.body)
-  in
-  let shard_aggs, repl_aggs = List.partition located_body agg_rules in
-  let route_out tuples pred =
-    List.iter
-      (fun t ->
-        match Shard.loc_value ctx.plan pred t with
-        | Some key -> deliver ctx ~delta:false key pred t
-        | None -> broadcast ctx ~delta:false pred t)
-      tuples
-  in
-  List.iter
-    (fun (r : Ast.rule) ->
-      let ts = apply_agg_rule_c extra_st ctx.repl r in
-      extra_deriv := !extra_deriv + List.length ts;
-      route_out ts r.head.head_pred)
-    repl_aggs;
-  if shard_aggs <> [] then begin
-    let base = ctx.shards in
-    let outs =
-      Pool.map_array pool
-        (fun s ->
-          List.map
-            (fun (r : Ast.rule) ->
-              let ts = apply_agg_rule_c s.sc s.sdb r in
-              s.sderiv <- s.sderiv + List.length ts;
-              (r.head.head_pred, ts))
-            shard_aggs)
-        base
-    in
-    Array.iter
-      (fun per_rule ->
-        List.iter (fun (pred, ts) -> route_out ts pred) per_rule)
-      outs
-  end;
-  (* Stage B: plain rules to a global fixpoint.  Round 1 is a full
-     application on every shard; afterwards only shards that received
-     tuples re-run, on the received delta. *)
-  let rec_preds =
-    List.fold_left
-      (fun s (r : Ast.rule) -> Sset.add r.head.head_pred s)
-      Sset.empty plain_rules
-  in
-  let run_round shards ~init =
-    let budget = max 1 (max_rounds - !rounds) in
-    Pool.run_batch pool ~n:(Array.length shards) (fun i ->
-        let s = shards.(i) in
-        let init =
-          match init with
-          | `Full -> `Full
-          | `Incoming ->
-            let d = s.incoming in
-            s.incoming <- Store.empty;
-            `Delta d
-        in
-        local_fixpoint ctx plain_rules rec_preds ~budget s ~init);
-    rounds :=
-      !rounds
-      + Array.fold_left (fun m s -> max m s.last_rounds) 0 shards;
-    Array.for_all (fun s -> s.last_converged) shards
-  in
-  let ok = run_round ctx.shards ~init:`Full in
-  exchange ctx ~delta:true;
-  let rec loop ok =
-    let pending =
-      Array.of_seq
-        (Seq.filter
-           (fun s -> not (Store.is_empty s.incoming))
-           (Array.to_seq ctx.shards))
-    in
-    if Array.length pending = 0 then ok
-    else if not ok || !rounds >= max_rounds then false
-    else begin
-      let ok = run_round pending ~init:`Incoming in
-      exchange ctx ~delta:true;
-      loop ok
-    end
-  in
-  loop ok
-
-let seminaive_sharded ?(max_rounds = 10_000) ?stats ~domains (p : Ast.program)
-    (info : Analysis.info) (db : Store.t) : outcome =
-  match Shard.analyze p with
-  | Error _ -> seminaive ~max_rounds ?stats p info db
-  | Ok plan ->
-    let parts, repl = Shard.partition plan db in
-    if Array.length parts <= 1 then
-      (* Nothing to distribute over: run centralized. *)
-      seminaive ~max_rounds ?stats p info db
-    else
-      Pool.with_pool ~domains (fun pool ->
-          let ctx =
-            {
-              plan;
-              shards =
-                Array.map (fun (key, part) ->
-                    mkshard key (Store.union repl part) Store.empty)
-                  parts;
-              stbl = Hashtbl.create 16;
-              repl;
-            }
-          in
-          Array.iteri (fun i s -> Hashtbl.add ctx.stbl s.skey i) ctx.shards;
-          let rounds = ref 0 in
-          let extra_deriv = ref 0 in
-          let extra_st = counters () in
-          let converged =
-            List.fold_left
-              (fun ok stratum ->
-                if not ok then ok
-                else
-                  eval_stratum_sharded ctx pool p stratum ~max_rounds ~rounds
-                    ~extra_deriv ~extra_st)
-              true info.Analysis.strata
-          in
-          let db =
-            Array.fold_left
-              (fun acc s -> Store.union acc s.sdb)
-              Store.empty ctx.shards
-          in
-          let s =
-            Array.fold_left
-              (fun acc sh -> add_stats acc (snapshot sh.sc))
-              (snapshot extra_st) ctx.shards
-          in
-          Option.iter (fun c -> accumulate c s) stats;
-          {
-            db;
-            rounds = !rounds;
-            derivations =
-              Array.fold_left
-                (fun acc sh -> acc + sh.sderiv)
-                !extra_deriv ctx.shards;
-            converged;
-            stats = s;
-          })
-
-(* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
 (* Analyze and evaluate a self-contained program (facts included). *)
@@ -1307,14 +992,6 @@ let run_exn ?max_rounds ?extra_facts p =
   match run ?max_rounds ?extra_facts p with
   | Ok o -> o
   | Error e -> invalid_arg (Fmt.str "NDlog evaluation failed: %a" Analysis.pp_error e)
-
-let run_sharded ?max_rounds ?(domains = Domain.recommended_domain_count ())
-    ?(extra_facts = []) (p : Ast.program) : (outcome, Analysis.error) result =
-  match Analysis.analyze p with
-  | Error e -> Error e
-  | Ok info ->
-    let db = Store.of_facts (p.facts @ extra_facts) in
-    Ok (seminaive_sharded ?max_rounds ~domains p info db)
 
 (* Convenience: parse source text and run it. *)
 let run_source ?max_rounds src : (outcome, string) result =

@@ -1,12 +1,8 @@
 (** Bottom-up evaluation of NDlog programs.
 
-    Three evaluators share one rule-application core: {!naive}
+    Two evaluators share one rule-application core: {!naive}
     re-derives everything from the full database each round;
-    {!seminaive} performs classic delta iteration;
-    {!seminaive_sharded} partitions the database by the
-    location-specifier column ({!Shard}) and runs per-shard semi-naive
-    fixpoints in parallel on OCaml domains, exchanging foreign-located
-    head tuples between shards until a global fixpoint.  All respect
+    {!seminaive} performs classic delta iteration.  Both respect
     stratification: strata are evaluated bottom-up, aggregate rules of
     a stratum run once at stratum entry (their inputs are complete),
     remaining rules run to fixpoint.
@@ -70,8 +66,7 @@ val pp_stats : stats Fmt.t
 
 (** A mutable accumulator threaded through one or more evaluations.
     Each run owns (or is handed) its own record — there is no global
-    counter state, so runs never bleed into each other and per-shard
-    evaluations may proceed on separate domains.  The fields are
+    counter state, so runs never bleed into each other.  The fields are
     exposed so the id-native twin of the rule-application core
     ({!Ideval}) can bump exactly the same counts — its accounting must
     be indistinguishable from this evaluator's (checked by property). *)
@@ -112,15 +107,6 @@ val use_indexes : bool ref
 val use_reordering : bool ref
 (** Reorder rule bodies most-bound-first before evaluation (default
     [true]). *)
-
-val use_interning : bool ref
-(** Hash-cons values and key secondary indexes by interned ids (default
-    [true]; re-export of {!Intern.enabled}, switched off by
-    [FVN_INTERNING=0]).  On: {!Store.add} canonicalizes tuples so
-    resident values are physically shared and index probes compare
-    machine ints.  Off: the boxed-value oracle path.  The fixpoint,
-    derivation counts and statistics are identical either way (checked
-    by property). *)
 
 val use_batching : bool ref
 (** Join delta activations group-at-a-time (default [true]): each
@@ -301,33 +287,6 @@ val seminaive_stratum :
     at entry, plain rules semi-naively.  The from-scratch fallback of
     incremental view refresh. *)
 
-val seminaive_sharded :
-  ?max_rounds:int ->
-  ?stats:counters ->
-  domains:int ->
-  Ast.program ->
-  Analysis.info ->
-  Store.t ->
-  outcome
-(** Sharded semi-naive evaluation: partition the database by the
-    location-specifier column ({!Shard.partition}), run per-shard
-    fixpoints in parallel on [domains] OCaml domains, route head tuples
-    located at another shard through an exchange step (exactly the
-    tuples the distributed runtime would send as messages), and repeat
-    until no shard receives a new tuple.
-
-    Reaches the same fixpoint database and convergence flag as
-    {!seminaive} (checked by property); [rounds] counts the parallel
-    depth (sum over global rounds of the maximum local round count) and
-    [derivations]/[stats] sum per-shard counts, so the numeric
-    accounting differs from the centralized schedule.  The outcome is
-    identical for every [domains] value — the decomposition and
-    exchange order are domain-count independent; only wall-clock time
-    changes.
-
-    Falls back to {!seminaive} when {!Shard.analyze} rejects the
-    program or the database occupies at most one shard. *)
-
 (** {1 Entry points} *)
 
 val run :
@@ -341,15 +300,6 @@ val run :
 val run_exn :
   ?max_rounds:int -> ?extra_facts:Ast.fact list -> Ast.program -> outcome
 (** @raise Invalid_argument on analysis failure. *)
-
-val run_sharded :
-  ?max_rounds:int ->
-  ?domains:int ->
-  ?extra_facts:Ast.fact list ->
-  Ast.program ->
-  (outcome, Analysis.error) result
-(** {!run} through {!seminaive_sharded}; [domains] defaults to
-    [Domain.recommended_domain_count ()]. *)
 
 val run_source : ?max_rounds:int -> string -> (outcome, string) result
 (** Parse source text and run it. *)

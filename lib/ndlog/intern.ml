@@ -8,30 +8,28 @@
      path list, so equality checks between resident values hit the
      physical-equality fast path in {!Value.compare} and the live heap
      shrinks under churn (duplicate strings collapse).
-   - *Flat keys*: secondary-index keys can be lists of ids instead of
-     boxed values, turning the string comparisons on an index probe's
-     tree descent into machine-int comparisons ({!Store}'s [Flat]
-     index representation).
+   - *Flat tuples*: the id-native evaluator ({!Ideval}, {!Flat}) stores
+     tuples as int arrays, turning string comparisons on its joins into
+     machine-int comparisons.
 
    The tables here are process-global caches, exactly like the
    secondary-index caches in {!Store}: they never participate in store
    equality, comparison, or hashing, so model-checker state identity is
    untouched.  Ids are *not* ordered consistently with
    {!Value.compare} — they are allocation-ordered — so they are only
-   ever used where equality is the question (hash-cons hits, index-key
-   identity); anything that needs the canonical order converts back to
+   ever used where equality is the question (hash-cons hits, id-keyed
+   joins); anything that needs the canonical order converts back to
    boxed values first.
 
    [id] and [canon] always intern, regardless of {!enabled}: the flag
-   only tells {!Store} whether to canonicalize incoming tuples and
-   build flat indexes.  That way flipping the flag mid-run (as the
-   benchmarks do) can never make an id lookup miss a value interned
-   under the other setting.
+   only tells {!Store} whether to canonicalize incoming tuples.  That
+   way flipping the flag mid-run (as the benchmarks do) can never make
+   an id lookup miss a value interned under the other setting.
 
    Thread safety: a single mutex guards the tables, making interning
-   safe from the sharded evaluator's worker domains.  The critical
-   sections are a hash-table probe or insert — uncontended locking is
-   cheap next to the work saved. *)
+   safe for a library client that calls it from several domains or
+   threads.  The critical sections are a hash-table probe or insert —
+   uncontended locking is cheap next to the work saved. *)
 
 (* Interning defaults on; FVN_INTERNING=0 (or false/no/off) restores
    the boxed-value oracle path. *)
@@ -197,28 +195,6 @@ let int_id (n : int) : int =
     end
   end
   else id (Value.Int n)
-
-let values_of_ids (ids : int list) : Value.t list =
-  Mutex.lock lock;
-  let n = !count in
-  let vs =
-    List.map
-      (fun i ->
-        if i >= 0 && i < n then !reverse.(i)
-        else begin
-          Mutex.unlock lock;
-          invalid_arg (Printf.sprintf "Intern.values_of_ids: unknown id %d" i)
-        end)
-      ids
-  in
-  Mutex.unlock lock;
-  vs
-
-let key_ids (key : Value.t list) : int list =
-  Mutex.lock lock;
-  let ids = List.map id_locked key in
-  Mutex.unlock lock;
-  ids
 
 let size () =
   Mutex.lock lock;

@@ -3,8 +3,8 @@
     Maps every distinct {!Value.t} to one canonical representative and a
     dense integer id, so resident values share structure (physical
     equality makes {!Value.compare} short-circuit, duplicate strings
-    collapse on the heap) and secondary-index keys can compare as
-    machine ints ({!Store}'s flat indexes).
+    collapse on the heap) and the id-native evaluator ({!Ideval},
+    {!Flat}) can store and compare tuples as machine ints.
 
     The interning tables are process-global caches in the same sense as
     {!Store}'s secondary-index caches: they never influence store
@@ -12,15 +12,14 @@
     unaffected.  Ids are allocation-ordered, {e not} consistent with
     {!Value.compare}; use them only for equality.
 
-    All operations are thread-safe (a mutex guards the tables), so the
-    sharded evaluator's worker domains may intern concurrently. *)
+    All operations are thread-safe: a mutex guards the tables, so a
+    library client may intern from several domains or threads. *)
 
 val enabled : bool ref
-(** Whether {!Store} canonicalizes incoming tuples and builds flat
-    (id-keyed) indexes.  Defaults to [true]; the environment switch
-    [FVN_INTERNING=0] selects the boxed-value oracle path.  Interning
-    itself ({!id}, {!canon}) always works regardless, so the flag can be
-    flipped mid-run safely. *)
+(** Whether {!Store} canonicalizes incoming tuples.  Defaults to
+    [true]; the environment switch [FVN_INTERNING=0] selects the
+    boxed-value oracle path.  Interning itself ({!id}, {!canon}) always
+    works regardless, so the flag can be flipped mid-run safely. *)
 
 val canon : Value.t -> Value.t
 (** The canonical representative of a value, interning on first sight.
@@ -57,20 +56,13 @@ val get : int -> Value.t
     evaluator).  Reverse-table slots are written once, before their id
     is published, so a reader that obtained the id through any
     synchronized operation always sees the entry; only the bounds check
-    is unsynchronized.  Use {!of_id} from worker domains.
+    is unsynchronized.  Use {!of_id} from other domains.
     @raise Invalid_argument on an id never returned by {!id}. *)
 
 val int_id : int -> int
 (** [id (Value.Int n)], memoized in a direct-indexed table for small
     non-negative [n] — freshly computed hop counts and path costs skip
     the hash-cons probe. *)
-
-val key_ids : Value.t list -> int list
-(** [List.map id], under one lock acquisition. *)
-
-val values_of_ids : int list -> Value.t list
-(** [List.map of_id], under one lock acquisition.
-    @raise Invalid_argument on an id never returned by {!id}. *)
 
 val size : unit -> int
 (** Number of distinct values interned so far (diagnostics). *)

@@ -14,7 +14,7 @@
       read the current time from a distinguished [clock(T)] relation,
       and every soft body atom gains a liveness guard
       [Ts + lifetime > T].  The paper calls this encoding "heavy-weight
-      and cumbersome" — experiment E8 quantifies that. *)
+      and cumbersome" — experiment E9 quantifies that. *)
 
 module Smap = Map.Make (String)
 

@@ -65,7 +65,7 @@ val to_hard_state : Ast.program -> rewrite_report
     deadlines at every integer clock value, fractional lifetimes
     included.
     The paper calls the result "heavy-weight and cumbersome" —
-    experiment E8 quantifies the inflation. *)
+    experiment E9 quantifies the inflation. *)
 
 val run_at_clock :
   ?max_rounds:int ->

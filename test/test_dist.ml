@@ -591,10 +591,10 @@ let prop_interned_equivalence =
           }
       in
       let go interning =
-        let saved = !Eval.use_interning in
-        Eval.use_interning := interning;
+        let saved = !Ndlog.Intern.enabled in
+        Ndlog.Intern.enabled := interning;
         Fun.protect
-          ~finally:(fun () -> Eval.use_interning := saved)
+          ~finally:(fun () -> Ndlog.Intern.enabled := saved)
           (fun () ->
             let rt = Runtime.create (topo_of_links links) p in
             Netsim.Sim.set_tracing (Runtime.simulator rt) true;

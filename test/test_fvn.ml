@@ -229,8 +229,8 @@ let test_explore_index_independence () =
   checkb "cache-cold twin is the same state" true
     (Mcheck.Explore.Table.mem tbl cold)
 
-(* Interning independence: hash-consed tuples and flat index keys are a
-   representation change, so exploration under the interned path and
+(* Interning independence: hash-consed tuples are a representation
+   change, so exploration under the interned path and
    under the boxed oracle ([FVN_INTERNING=0]) must visit the same state
    space, and an interned store must be the same visited-table state as
    its boxed twin. *)
@@ -241,10 +241,10 @@ let test_explore_interning_independence () =
   let explore () =
     Mcheck.Explore.explore ~max_states:5_000 (Mcheck.Ndlog_ts.system program)
   in
-  let saved = !Ndlog.Eval.use_interning in
+  let saved = !Ndlog.Intern.enabled in
   let under flag =
-    Ndlog.Eval.use_interning := flag;
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_interning := saved) explore
+    Ndlog.Intern.enabled := flag;
+    Fun.protect ~finally:(fun () -> Ndlog.Intern.enabled := saved) explore
   in
   let on = under true and off = under false in
   checki "states independent of interning" off.Mcheck.Explore.states
@@ -255,13 +255,13 @@ let test_explore_interning_independence () =
     on.Mcheck.Explore.max_depth;
   let rows = List.init 20 (fun i -> [| V.Addr ("n" ^ string_of_int i) |]) in
   let build () = Store.add_list "r" rows Store.empty in
-  Ndlog.Eval.use_interning := true;
+  Ndlog.Intern.enabled := true;
   let interned =
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_interning := saved) build
+    Fun.protect ~finally:(fun () -> Ndlog.Intern.enabled := saved) build
   in
-  Ndlog.Eval.use_interning := false;
+  Ndlog.Intern.enabled := false;
   let boxed =
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_interning := saved) build
+    Fun.protect ~finally:(fun () -> Ndlog.Intern.enabled := saved) build
   in
   ignore (Store.lookup "r" ~cols:[ 0 ] ~key:[ V.Addr "n3" ] interned);
   let tbl =

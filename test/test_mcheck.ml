@@ -220,6 +220,24 @@ let test_canon_table_buckets () =
     (Explore.Table.buckets tbl >= !orbits / 2);
   checkb "no degenerate chain" true (Explore.Table.max_bucket tbl <= 8)
 
+let test_table_size_counts_adds () =
+  (* [size] is the number of [add] calls, kept as a counter: it agrees
+     with the bucket contents whether entries share a hash or not. *)
+  let tbl = Explore.Table.create ~hash:(fun i -> i mod 7) () in
+  for i = 0 to 99 do
+    if not (Explore.Table.mem tbl i) then Explore.Table.add tbl i i;
+    checki "size after each new state" (i + 1) (Explore.Table.size tbl)
+  done;
+  for i = 0 to 99 do
+    if not (Explore.Table.mem tbl i) then Explore.Table.add tbl i 0
+  done;
+  checki "revisits add nothing" 100 (Explore.Table.size tbl);
+  checki "colliding hashes share buckets" 7 (Explore.Table.buckets tbl);
+  checkb "every state findable" true
+    (List.for_all
+       (fun i -> Explore.Table.find tbl i = Some i)
+       (List.init 100 Fun.id))
+
 let test_soft_lease_permutation_identity () =
   (* Permuting a soft state's nodes permutes its database and leases
      jointly: the two states canonicalize identically. *)
@@ -582,6 +600,8 @@ let () =
             test_canon_distinguishes_orbits;
           Alcotest.test_case "canonical hash buckets" `Quick
             test_canon_table_buckets;
+          Alcotest.test_case "table size counts adds" `Quick
+            test_table_size_counts_adds;
           Alcotest.test_case "lease permutation identity" `Quick
             test_soft_lease_permutation_identity;
         ] );

@@ -766,6 +766,163 @@ let test_localize_idempotent_on_local () =
   | Error e -> Alcotest.failf "localization failed: %a" Localize.pp_error e
 
 (* ------------------------------------------------------------------ *)
+(* Location columns: which node owns a tuple. *)
+
+module Shard = Ndlog.Shard
+
+(* A localized program over the given links: the form the distributed
+   runtime and the model checker read ownership from. *)
+let localized_program prog links =
+  let p = Programs.with_links prog links in
+  match Localize.rewrite_program p with
+  | Ok r -> r.Localize.program
+  | Error e -> Alcotest.failf "localization failed: %a" Localize.pp_error e
+
+let test_loc_index_map () =
+  let p =
+    parse_ok
+      {| p(@X,Y) :- q(@X,Y), r(Y,@X).
+         s(X,Y) :- q(@X,Y). |}
+  in
+  let m = Shard.loc_index_map p in
+  let loc pred = Hashtbl.find_opt m pred in
+  checkb "head location" true (loc "p" = Some 0);
+  checkb "body location" true (loc "q" = Some 0);
+  checkb "non-leading location" true (loc "r" = Some 1);
+  checkb "unlocated head absent" true (loc "s" = None);
+  (* facts contribute their own location column *)
+  let p = Programs.with_links p (Programs.ring_links 3) in
+  checkb "fact location" true
+    (Hashtbl.find_opt (Shard.loc_index_map p) "link" = Some 0)
+
+let test_loc_last_occurrence_wins () =
+  (* Heads, then facts, then body atoms: a later occurrence overrides an
+     earlier one.  Localized programs never disagree, so the order only
+     matters for unlocalized input. *)
+  let p = parse_ok {| p(@X,Y) :- q(@X,Y). t(@X) :- p(Y,@X). |} in
+  checkb "body atom overrides head" true
+    (Hashtbl.find_opt (Shard.loc_index_map p) "p" = Some 1)
+
+let test_tuple_location () =
+  let t = tuple [ V.Addr "n0"; V.Int 3; V.Addr "n2" ] in
+  checkb "unlocated predicate" true (Shard.tuple_location None t = None);
+  checkb "leading column" true (Shard.tuple_location (Some 0) t = Some "n0");
+  checkb "later column" true (Shard.tuple_location (Some 2) t = Some "n2");
+  checkb "tuple too short" true (Shard.tuple_location (Some 3) t = None);
+  match Shard.tuple_location (Some 1) t with
+  | exception V.Type_error _ -> ()
+  | _ -> Alcotest.fail "a non-address location must raise Type_error"
+
+(* Every occurrence of a predicate in a localized program names the same
+   location column, so [loc_index_map] has no conflicts to resolve. *)
+let test_localized_locations_consistent () =
+  let p = localized_program (Programs.path_vector ()) (Programs.ring_links 5) in
+  let m = Shard.loc_index_map p in
+  let agrees pred loc =
+    match loc with
+    | Some i -> Hashtbl.find_opt m pred = Some i
+    | None -> not (Hashtbl.mem m pred)
+  in
+  List.iter
+    (fun (r : Ast.rule) ->
+      checkb ("head " ^ r.Ast.head.Ast.head_pred) true
+        (agrees r.Ast.head.Ast.head_pred r.Ast.head.Ast.head_loc);
+      List.iter
+        (fun (a : Ast.atom) -> checkb ("body " ^ a.Ast.pred) true (agrees a.Ast.pred a.Ast.loc))
+        (Ast.body_atoms r.Ast.body))
+    p.Ast.rules;
+  List.iter
+    (fun (f : Ast.fact) ->
+      checkb ("fact " ^ f.Ast.fact_pred) true (agrees f.Ast.fact_pred f.Ast.fact_loc))
+    p.Ast.facts
+
+(* Partitioning a localized fixpoint by owner is lossless: every tuple
+   has exactly one owner, the owners are the topology's nodes, and the
+   per-node parts union back to the whole store. *)
+let test_partition_by_location () =
+  let n = 5 in
+  let p = localized_program (Programs.path_vector ()) (Programs.ring_links n) in
+  let db = (Eval.run_exn p).Eval.db in
+  let locs = Shard.loc_index_map p in
+  let parts = Hashtbl.create n in
+  List.iter
+    (fun (pred, t) ->
+      match Shard.tuple_location (Hashtbl.find_opt locs pred) t with
+      | None -> Alcotest.failf "%s tuple without an owner" pred
+      | Some owner ->
+        let part = Option.value ~default:Store.empty (Hashtbl.find_opt parts owner) in
+        Hashtbl.replace parts owner (Store.add pred t part))
+    (Store.to_list db);
+  checki "one part per node" n (Hashtbl.length parts);
+  checkb "owners are topology nodes" true
+    (List.for_all
+       (fun i -> Hashtbl.mem parts (Programs.node i))
+       (List.init n Fun.id));
+  let merged = Hashtbl.fold (fun _ s acc -> Store.union acc s) parts Store.empty in
+  checkb "roundtrip" true (Store.equal merged db);
+  let total = Hashtbl.fold (fun _ s k -> k + Store.total_tuples s) parts 0 in
+  checki "no tuple in two parts" (Store.total_tuples db) total
+
+(* [Store.groups] on the location column is the same partition, relation
+   by relation, as [tuple_location]. *)
+let test_groups_by_location () =
+  let p = localized_program (Programs.reachability ()) (Programs.grid_links 3) in
+  let db = (Eval.run_exn p).Eval.db in
+  let locs = Shard.loc_index_map p in
+  List.iter
+    (fun pred ->
+      match Hashtbl.find_opt locs pred with
+      | None -> Alcotest.failf "%s is unlocated" pred
+      | Some col ->
+        List.iter
+          (fun (key, ts) ->
+            match key with
+            | [ V.Addr owner ] ->
+              checkb (pred ^ " group owned by its key") true
+                (Store.Tset.for_all
+                   (fun t -> Shard.tuple_location (Some col) t = Some owner)
+                   ts)
+            | _ -> Alcotest.failf "%s: non-address group key" pred)
+          (Store.groups pred ~cols:[ col ] db);
+        checki (pred ^ " groups cover the relation") (Store.cardinal pred db)
+          (List.fold_left
+             (fun k (_, ts) -> k + Store.Tset.cardinal ts)
+             0
+             (Store.groups pred ~cols:[ col ] db)))
+    (Store.preds db)
+
+let prop_localized_tuples_owned =
+  QCheck.Test.make
+    ~name:"every tuple of a localized fixpoint is owned by a topology node"
+    ~count:25
+    QCheck.(triple (int_range 0 2) (int_range 3 7) (int_range 0 3))
+    (fun (which, n, extra) ->
+      let links, nodes =
+        match which with
+        | 0 -> (Programs.random_links ~seed:((17 * n) + extra) ~extra n, n)
+        | 1 -> (Programs.ring_links n, n)
+        | _ ->
+          let k = 2 + (n mod 2) in
+          (Programs.grid_links k, k * k)
+      in
+      let prog =
+        match which with
+        | 0 -> Programs.path_vector ()
+        | 1 -> Programs.reachability ()
+        | _ -> Programs.bounded_distance_vector ~max_hops:n
+      in
+      let p = localized_program prog links in
+      let db = (Eval.run_exn p).Eval.db in
+      let locs = Shard.loc_index_map p in
+      let node_names = List.init nodes Programs.node in
+      List.for_all
+        (fun (pred, t) ->
+          match Shard.tuple_location (Hashtbl.find_opt locs pred) t with
+          | Some owner -> List.mem owner node_names
+          | None -> false)
+        (Store.to_list db))
+
+(* ------------------------------------------------------------------ *)
 (* Soft state. *)
 
 let test_expiry_table () =
@@ -1121,151 +1278,6 @@ let prop_every_tuple_explainable =
              | Error _ -> false))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded evaluation. *)
-
-module Shard = Ndlog.Shard
-module Pool = Ndlog.Pool
-
-(* A localized program over the given links; sharded evaluation targets
-   exactly the output of the localization rewrite. *)
-let localized_program prog links =
-  let p = Programs.with_links prog links in
-  match Localize.rewrite_program p with
-  | Ok r -> r.Localize.program
-  | Error e -> Alcotest.failf "localization failed: %a" Localize.pp_error e
-
-let test_shard_partition_roundtrip () =
-  let p = localized_program (Programs.path_vector ()) (Programs.ring_links 5) in
-  let plan =
-    match Shard.analyze p with
-    | Ok plan -> plan
-    | Error e -> Alcotest.failf "localized path-vector must shard: %s" e
-  in
-  let db = (Eval.run_exn p).Eval.db in
-  let parts, repl = Shard.partition plan db in
-  checki "one shard per node" 5 (Array.length parts);
-  checkb "links are located, not replicated" true
-    (Store.cardinal "link" repl = 0);
-  checkb "roundtrip" true (Store.equal (Shard.merge parts repl) db);
-  (* Parts are disjoint: located tuples live in exactly one shard. *)
-  let total =
-    Array.fold_left (fun n (_, s) -> n + Store.total_tuples s) 0 parts
-  in
-  checki "no tuple duplicated across shards"
-    (Store.total_tuples db)
-    (total + Store.total_tuples repl)
-
-let test_shard_analyze_rejects () =
-  let reject src reason =
-    match Parser.parse_program src with
-    | Error e -> Alcotest.failf "parse: %s" e
-    | Ok p -> (
-      match Shard.analyze p with
-      | Ok _ -> Alcotest.failf "expected rejection (%s)" reason
-      | Error _ -> ())
-  in
-  (* A constant location in a body would read a foreign shard. *)
-  reject {| p(@X,Y) :- q(@"n0",Y), r(@X,Y). |} "constant body location";
-  (* A body spanning two locations. *)
-  reject {| p(@X,Y) :- q(@X,Y), r(@Y,X). |} "two locations";
-  (* An aggregate not grouped by the location variable would emit
-     per-shard partial aggregates. *)
-  reject {| total(count<Y>) :- q(@X,Y). |} "aggregate ungrouped by location";
-  (* Inconsistent location columns for one predicate. *)
-  reject {| p(@X,Y) :- q(@X,Y). p(X,@Y) :- r(@Y,X). |} "inconsistent columns"
-
-let test_pool_map_array () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      checki "pool size" 4 (Pool.size pool);
-      let xs = Array.init 100 Fun.id in
-      let ys = Pool.map_array pool (fun x -> x * x) xs in
-      checkb "map over the pool" true
-        (Array.for_all2 (fun y x -> y = x * x) ys xs);
-      (* A raising task surfaces in the caller; the pool survives. *)
-      (match Pool.map_array pool (fun x -> if x = 3 then failwith "boom" else x) xs with
-      | exception Failure m -> checks "first error re-raised" "boom" m
-      | _ -> Alcotest.fail "expected the task failure to re-raise");
-      let zs = Pool.map_array pool (fun x -> x + 1) xs in
-      checkb "pool usable after a failed batch" true
-        (Array.for_all2 (fun z x -> z = x + 1) zs xs));
-  (* domains:1 is the sequential degenerate case. *)
-  Pool.with_pool ~domains:1 (fun pool ->
-      checki "sequential pool" 1 (Pool.size pool);
-      checkb "sequential map" true
-        (Pool.map_array pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]))
-
-let test_sharded_ring () =
-  let p = localized_program (Programs.path_vector ()) (Programs.ring_links 6) in
-  (match Shard.analyze p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "localized path-vector must shard: %s" e);
-  let info = Analysis.analyze_exn p in
-  let db = Store.of_facts p.Ast.facts in
-  let central = Eval.seminaive p info db in
-  let sharded = Eval.seminaive_sharded ~domains:2 p info db in
-  checkb "same fixpoint" true (Store.equal central.Eval.db sharded.Eval.db);
-  checkb "converged" true (central.Eval.converged && sharded.Eval.converged);
-  checkb "sharded did real work" true (sharded.Eval.derivations > 0)
-
-let test_sharded_fallback () =
-  (* A program Shard.analyze rejects falls back to the centralized
-     engine: identical outcome, including the round accounting. *)
-  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
-  let info = Analysis.analyze_exn p in
-  let db = Store.of_facts p.Ast.facts in
-  match Shard.analyze p with
-  | Ok _ -> Alcotest.fail "unlocalized path-vector should not shard"
-  | Error _ ->
-    let central = Eval.seminaive p info db in
-    let sharded = Eval.seminaive_sharded ~domains:4 p info db in
-    checkb "fallback outcome identical" true
-      (Store.equal central.Eval.db sharded.Eval.db
-      && central.Eval.rounds = sharded.Eval.rounds
-      && central.Eval.derivations = sharded.Eval.derivations
-      && central.Eval.stats = sharded.Eval.stats)
-
-let prop_sharded_equals_seminaive =
-  QCheck.Test.make
-    ~name:"sharded = centralized (fixpoint, convergence); deterministic in domains"
-    ~count:25
-    QCheck.(triple (int_range 0 2) (int_range 3 7) (int_range 0 3))
-    (fun (which, n, extra) ->
-      let links =
-        match which with
-        | 0 -> Programs.random_links ~seed:((17 * n) + extra + which) ~extra n
-        | 1 -> Programs.ring_links n
-        | _ -> Programs.grid_links (2 + (n mod 2))
-      in
-      let prog =
-        match which with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.reachability ()
-        | _ -> Programs.bounded_distance_vector ~max_hops:n
-      in
-      let p = localized_program prog links in
-      (* The rewrite output must actually shard — otherwise this
-         property would silently test the fallback path. *)
-      (match Shard.analyze p with
-      | Ok _ -> ()
-      | Error e -> QCheck.Test.fail_reportf "localized program must shard: %s" e);
-      let info = Analysis.analyze_exn p in
-      let db = Store.of_facts p.Ast.facts in
-      let central = Eval.seminaive p info db in
-      let s1 = Eval.seminaive_sharded ~domains:1 p info db in
-      let s2 = Eval.seminaive_sharded ~domains:2 p info db in
-      let s4 = Eval.seminaive_sharded ~domains:4 p info db in
-      let same_outcome a b =
-        Store.equal a.Eval.db b.Eval.db
-        && a.Eval.rounds = b.Eval.rounds
-        && a.Eval.derivations = b.Eval.derivations
-        && a.Eval.converged = b.Eval.converged
-        && a.Eval.stats = b.Eval.stats
-      in
-      Store.equal central.Eval.db s2.Eval.db
-      && central.Eval.converged = s2.Eval.converged
-      && same_outcome s1 s2 && same_outcome s2 s4)
-
-(* ------------------------------------------------------------------ *)
 (* Batched delta joins. *)
 
 (* Run with the batched delta join on or off (off = one environment
@@ -1390,47 +1402,17 @@ let test_execute_batch () =
   | exception Plan.Plan_error _ -> ()
   | _ -> Alcotest.fail "scan strand must reject a batch")
 
-let test_sharded_batched_domains () =
-  (* The sharded evaluator batches inside each shard: at domains 1/2/4
-     the batched outcome matches per-tuple sharding and stays
-     domain-count deterministic. *)
+let test_localized_batched () =
+  (* A localized program (relocated link copies, one location per body)
+     batches the same way: identical fixpoint and derivations, with the
+     delta grouped. *)
   let p = localized_program (Programs.reachability ()) (Programs.grid_links 3) in
-  (match Shard.analyze p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "localized program must shard: %s" e);
-  let info = Analysis.analyze_exn p in
-  let db = Store.of_facts p.Ast.facts in
-  let run ~batched ~domains =
-    Eval.use_batching := batched;
-    Fun.protect
-      ~finally:(fun () -> Eval.use_batching := true)
-      (fun () -> Eval.seminaive_sharded ~domains p info db)
-  in
-  List.iter
-    (fun domains ->
-      let on = run ~batched:true ~domains in
-      let off = run ~batched:false ~domains in
-      checkb
-        (Printf.sprintf "domains=%d same fixpoint" domains)
-        true
-        (Store.equal on.Eval.db off.Eval.db);
-      checki
-        (Printf.sprintf "domains=%d same derivations" domains)
-        off.Eval.derivations on.Eval.derivations;
-      checkb
-        (Printf.sprintf "domains=%d groups counted" domains)
-        true
-        (on.Eval.stats.Eval.groups > 0))
-    [ 1; 2; 4 ];
-  (* batched sharded outcomes are identical across domain counts *)
-  let s1 = run ~batched:true ~domains:1 in
-  let s2 = run ~batched:true ~domains:2 in
-  let s4 = run ~batched:true ~domains:4 in
-  checkb "deterministic in domains" true
-    (Store.equal s1.Eval.db s2.Eval.db
-    && Store.equal s2.Eval.db s4.Eval.db
-    && s1.Eval.stats = s2.Eval.stats
-    && s2.Eval.stats = s4.Eval.stats)
+  let on = run_batched ~batched:true p in
+  let off = run_batched ~batched:false p in
+  checkb "same fixpoint" true (Store.equal on.Eval.db off.Eval.db);
+  checki "same derivations" off.Eval.derivations on.Eval.derivations;
+  checki "same rounds" off.Eval.rounds on.Eval.rounds;
+  checkb "groups counted" true (on.Eval.stats.Eval.groups > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Index-aware aggregates. *)
@@ -1493,9 +1475,9 @@ let test_agg_fast_path () =
 module Intern = Ndlog.Intern
 
 let with_interning flag f =
-  let saved = !Eval.use_interning in
-  Eval.use_interning := flag;
-  Fun.protect ~finally:(fun () -> Eval.use_interning := saved) f
+  let saved = !Intern.enabled in
+  Intern.enabled := flag;
+  Fun.protect ~finally:(fun () -> Intern.enabled := saved) f
 
 (* Duplicate interning is stable: structurally equal values get the
    same id and the same physically shared representative, however many
@@ -1528,17 +1510,10 @@ let test_intern_roundtrip () =
     (Invalid_argument "Intern.of_id: unknown id -1") (fun () ->
       ignore (Intern.of_id (-1)))
 
-(* Force the flat (interned-id) index representation regardless of the
-   adaptive probe:build gate, so tests cover it deterministically. *)
-let with_flat_forced f =
-  let saved = !Store.flat_probe_threshold in
-  Store.flat_probe_threshold := 0;
-  Fun.protect ~finally:(fun () -> Store.flat_probe_threshold := saved) f
-
 (* [Store.tuples] must enumerate in canonical (Tuple.compare) order,
-   and [lookup] must return identical sets, whatever representation the
-   store's indexes were built under.  The tuples carry a list column so
-   the deep-key gate lets a forced flat index actually build. *)
+   and [lookup] must return identical sets, whether the store was built
+   interned or boxed.  The probe key is a list value, the case where
+   interning shares structure. *)
 let test_intern_store_order () =
   let tuples =
     List.init 40 (fun i ->
@@ -1556,28 +1531,28 @@ let test_intern_store_order () =
       ~key:[ V.List [ V.Addr "n02"; V.Int 2 ] ]
       db
   in
-  let flat = with_interning true build in
+  let interned = with_interning true build in
   let boxed = with_interning false build in
-  (* Build the index flat on the interned store, boxed on the oracle. *)
-  let hits_flat = with_interning true (fun () -> with_flat_forced (fun () -> probe flat)) in
+  let hits_interned = with_interning true (fun () -> probe interned) in
   let hits_boxed = with_interning false (fun () -> probe boxed) in
-  checkb "flat and boxed lookups agree" true
-    (Store.Tset.equal hits_flat hits_boxed);
-  checkb "flat lookup finds the probe key" false (Store.Tset.is_empty hits_flat);
-  let elems = Store.tuples "r" flat in
+  checkb "interned and boxed lookups agree" true
+    (Store.Tset.equal hits_interned hits_boxed);
+  checkb "interned lookup finds the probe key" false
+    (Store.Tset.is_empty hits_interned);
+  let elems = Store.tuples "r" interned in
   let rec ascending = function
     | a :: (b :: _ as rest) ->
       Store.Tuple.compare a b < 0 && ascending rest
     | _ -> true
   in
-  checkb "flat enumeration is canonically sorted" true (ascending elems);
-  checkb "flat and boxed enumerate identically" true
+  checkb "interned enumeration is canonically sorted" true (ascending elems);
+  checkb "interned and boxed enumerate identically" true
     (List.length elems = List.length (Store.tuples "r" boxed)
     && List.for_all2 Store.Tuple.equal elems (Store.tuples "r" boxed))
 
 (* Mirror of the model checker's warm-vs-cold-cache regression: an
-   interned store with warmed flat indexes and a boxed store built in
-   another insertion order are the same state under
+   interned store with warmed indexes and a boxed store built in another
+   insertion order are the same state under
    [Store.equal]/[compare]/[hash]. *)
 let test_intern_equal_hash_across_representations () =
   let tuples =
@@ -1593,20 +1568,20 @@ let test_intern_equal_hash_across_representations () =
   in
   let interned = with_interning true (build tuples) in
   let boxed = with_interning false (build (List.rev tuples)) in
-  (* Warm the interned store's caches with a genuinely flat index
-     (deep key, forced threshold); boxed stays cold. *)
+  (* Warm the interned store's caches; boxed stays cold. *)
   with_interning true (fun () ->
-      with_flat_forced (fun () ->
-          ignore
-            (Store.lookup "link" ~cols:[ 1 ]
-               ~key:[ V.List [ V.Addr "n1" ] ]
-               interned)));
+      ignore
+        (Store.lookup "link" ~cols:[ 1 ]
+           ~key:[ V.List [ V.Addr "n1" ] ]
+           interned));
+  checki "interned caches warmed" 1 (Store.index_count interned);
+  checki "boxed caches cold" 0 (Store.index_count boxed);
   let gi = Store.groups "link" ~cols:[ 1 ] interned in
   checkb "equal across representations" true (Store.equal interned boxed);
   checki "hash across representations" (Store.hash boxed) (Store.hash interned);
   checki "compare across representations" 0 (Store.compare interned boxed);
-  (* Flat group enumeration re-sorts id-ordered keys into the boxed
-     path's canonical key order. *)
+  (* Interned and boxed stores enumerate groups in the same canonical
+     key order. *)
   let gb = with_interning false (fun () -> Store.groups "link" ~cols:[ 1 ] boxed) in
   checkb "groups in canonical key order" true
     (List.map fst gi = List.map fst gb)
@@ -2105,25 +2080,12 @@ let () =
           Alcotest.test_case "aggregate fast path" `Quick test_agg_fast_path;
         ]
         @ qsuite [ prop_indexed_equals_nested_loop ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "partition roundtrip" `Quick
-            test_shard_partition_roundtrip;
-          Alcotest.test_case "shardability analysis" `Quick
-            test_shard_analyze_rejects;
-          Alcotest.test_case "domain pool" `Quick test_pool_map_array;
-          Alcotest.test_case "ring fixpoint" `Quick test_sharded_ring;
-          Alcotest.test_case "centralized fallback" `Quick
-            test_sharded_fallback;
-        ]
-        @ qsuite [ prop_sharded_equals_seminaive ] );
       ( "batched",
         [
           Alcotest.test_case "group formation" `Quick test_group_formation;
           Alcotest.test_case "stats" `Quick test_batched_stats_counted;
           Alcotest.test_case "strand batch executor" `Quick test_execute_batch;
-          Alcotest.test_case "sharded domains 1/2/4" `Quick
-            test_sharded_batched_domains;
+          Alcotest.test_case "localized program" `Quick test_localized_batched;
         ]
         @ qsuite [ prop_batched_equals_per_tuple ] );
       ( "localize",
@@ -2135,6 +2097,20 @@ let () =
           Alcotest.test_case "local rules untouched" `Quick
             test_localize_idempotent_on_local;
         ] );
+      ( "location",
+        [
+          Alcotest.test_case "location map" `Quick test_loc_index_map;
+          Alcotest.test_case "last occurrence wins" `Quick
+            test_loc_last_occurrence_wins;
+          Alcotest.test_case "tuple location" `Quick test_tuple_location;
+          Alcotest.test_case "localized columns consistent" `Quick
+            test_localized_locations_consistent;
+          Alcotest.test_case "partition roundtrip" `Quick
+            test_partition_by_location;
+          Alcotest.test_case "groups by location" `Quick
+            test_groups_by_location;
+        ]
+        @ qsuite [ prop_localized_tuples_owned ] );
       ( "plan",
         [
           Alcotest.test_case "strand shape" `Quick test_plan_shapes;
