@@ -1,16 +1,16 @@
 (* Smoke check for the benchmark ledger: BENCH_ndlog.json must parse
-   as a schema-11 document carrying a non-empty E7 sweep (indexed vs.
+   as a schema-12 document carrying a non-empty E7 sweep (indexed vs.
    baseline timings), an E11 sweep (batched vs. per-tuple delta joins,
    with the enumeration reduction recorded per row), an E12 sweep (the distributed
    runtime's inbox batching vs. per-message deliveries, with the wire
    delta-group sizes recorded per row), an E13 sweep (incremental view
    refresh vs. from-scratch recomputation, with skipped strata and
-   view-path enumeration recorded per row), an E14 churn section (one
-   id-native and one boxed run of the sustained link/route churn
-   workload, with identical final stores attested by matching insert
-   and tuple counts, and — new in schema 8 — each run's refresh-cost
-   breakdown: wall seconds inside view-refresh walks, the walk count,
-   and the refresh share of the measurement window), an E15 section
+   view-path enumeration recorded per row), an E14 churn section (the
+   sustained link/route churn workload on the id-native runtime, with
+   the final-state digest every repetition reached, and — new in schema
+   8 — the refresh-cost breakdown: wall seconds inside view-refresh
+   walks, the walk count, and the refresh share of the measurement
+   window), an E15 section
    (per-probe representation costs,
    every operation with a positive ns/op and a positive id-probe
    speedup), an E16 section — new in schema 9 — (the socket transport:
@@ -23,7 +23,8 @@
    modes, and at least one cell where a reduced mode strictly beats a
    completed plain baseline), and a run-history array.  Schema 11
    retired E8 (the sharded multicore evaluator) with the engine it
-   measured.  Run by the @bench-smoke alias
+   measured; schema 12 retired E14's boxed run and its speedup with the
+   boxed runtime.  Run by the @bench-smoke alias
    so a broken emitter (or a regression that stops a sweep from
    completing, a run diverging from its baseline fixpoint, or
    batching/incrementality losing its enumeration win) fails the
@@ -55,8 +56,8 @@ let () =
   | Error e -> fail "%s: does not parse: %s" path e
   | Ok v ->
     (match Json.member "schema" v with
-    | Some (Json.Int 11) -> ()
-    | _ -> fail "%s: missing schema=11" path);
+    | Some (Json.Int 12) -> ()
+    | _ -> fail "%s: missing schema=12" path);
     List.iter
       (fun k ->
         match Json.member k v with
@@ -159,12 +160,12 @@ let () =
             fail "%s: e13 row %d lost the view enumeration reduction" path i
         end)
       incr_sweeps;
-    (* E14: sustained churn, one id-native and one boxed run (field-wise
-       medians over interleaved repetitions).  The bench itself aborts
-       if any repetition's final stores diverge; the ledger re-attests
-       that by carrying identical insert and tuple counts per mode, and
-       the throughput / latency fields must be positive (a zero means
-       the measurement window never ran). *)
+    (* E14: sustained churn (field-wise medians over repetitions).  The
+       bench itself aborts if any repetition's final stores diverge, or
+       if the quick configuration misses its golden final state; the
+       ledger carries the digest, and the throughput / latency fields
+       must be positive (a zero means the measurement window never
+       ran). *)
     let e14 = Option.get (Json.member "e14" v) in
     let e14_runs =
       match Option.bind (Json.member "runs" e14) Json.as_arr with
@@ -181,11 +182,10 @@ let () =
       (fun i row ->
         require_fields path "e14" i row
           [
-            "mode"; "nodes"; "events"; "measured_events"; "inserts";
-            "wall_s"; "tuples_per_sec"; "events_per_sec"; "p50_us"; "p99_us";
-            "max_us"; "live_words"; "heap_words"; "interned_values";
-            "messages"; "tuples"; "refresh_s"; "refresh_walks";
-            "refresh_share";
+            "nodes"; "events"; "measured_events"; "inserts"; "wall_s";
+            "tuples_per_sec"; "events_per_sec"; "p50_us"; "p99_us"; "max_us";
+            "live_words"; "heap_words"; "interned_values"; "messages";
+            "tuples"; "refresh_s"; "refresh_walks"; "refresh_share";
           ];
         List.iter
           (fun k ->
@@ -202,36 +202,9 @@ let () =
         if not (share > 0.0 && share < 1.0) then
           fail "%s: e14 run %d refresh_share %g not in (0, 1)" path i share)
       e14_runs;
-    let e14_mode m =
-      match
-        List.find_opt
-          (fun row -> Json.member "mode" row = Some (Json.Str m))
-          e14_runs
-      with
-      | Some row -> row
-      | None -> fail "%s: e14 lacks a %S run" path m
-    in
-    let ids = e14_mode "ids" and boxed = e14_mode "boxed" in
-    List.iter
-      (fun k ->
-        if churn_num ids k <> churn_num boxed k then
-          fail "%s: e14 id-native and boxed runs disagree on %S" path k)
-      [ "nodes"; "events"; "measured_events"; "inserts"; "tuples" ];
-    (match Json.member "speedup" e14 with
-    | Some (Json.Float s) when s > 0.0 -> ()
-    | _ -> fail "%s: e14 lacks a positive speedup" path);
-    (* Schema 8 summary: the per-mode refresh-cost pair must be present
-       and positive — the metric the journaled in-place refresh is
-       accountable to. *)
-    List.iter
-      (fun k ->
-        match Json.member k e14 with
-        | Some (Json.Float s) when s > 0.0 -> ()
-        | _ -> fail "%s: e14 lacks a positive %S" path k)
-      [
-        "refresh_s_ids"; "refresh_s_boxed"; "refresh_share_ids";
-        "refresh_share_boxed";
-      ];
+    (match Json.member "digest" e14 with
+    | Some (Json.Str d) when String.length d = 32 -> ()
+    | _ -> fail "%s: e14 lacks a final-state digest" path);
     (* E15: per-probe representation costs.  Every op must carry a
        positive ns/op, and the headline id-probe speedup must be a
        positive ratio. *)

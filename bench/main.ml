@@ -876,16 +876,16 @@ let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : incr_row =
    directly into the cost relation.  The live tuple set stays bounded
    — the stream endlessly replaces state instead of growing it — which
    is exactly the regime where tuple storage, not fixpoint evaluation,
-   is the bottleneck.  The same deterministic stream runs once on the
-   id-native runtime (flat int-array tuples, integer joins) and once
-   on the boxed-store oracle (FVN_TUPLE_IDS=0 semantics, selected per
-   runtime); the fixpoints must be bit-identical and the measured
-   difference is pure representation cost.  (Earlier regenerations of
-   this experiment compared interned vs. uninterned boxed stores; that
-   comparison lives on in the ledger history.) *)
+   is the bottleneck.  The deterministic stream runs on the runtime's
+   one executor (flat int-array tuples, integer joins), and every
+   repetition must reach the identical final state; in the quick
+   configuration that state is pinned absolutely ([churn_golden]).
+   (Earlier regenerations of this experiment compared the id-native
+   runtime against a boxed twin, and before that interned against
+   uninterned boxed stores; those comparisons live on in the ledger
+   history.) *)
 
 type churn_row = {
-  ch_mode : string;  (* "ids" | "boxed" *)
   ch_nodes : int;
   ch_events : int;  (* events driven, including warmup *)
   ch_measured : int;  (* events in the measurement window *)
@@ -909,11 +909,9 @@ type churn_row = {
    path-vector protocol (Section 2.2) with a hop bound so churn stays
    local, and every materialize declaration rewritten to the given
    lifetime.  Path vectors matter here: every refresh re-derives its
-   path lists from scratch, so the boxed representation keeps
-   re-allocating and re-comparing structurally equal lists while the
-   interned one collapses them to shared representatives — the
-   allocation/comparison traffic this benchmark is designed to
-   expose. *)
+   path lists, which interning collapses to shared representatives and
+   flat ids compare as ints — the allocation/comparison traffic this
+   benchmark is designed to expose. *)
 let churn_program_src =
   {|
 materialize(link, infinity).
@@ -948,12 +946,12 @@ let percentile sorted q =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
-(* Drive one mode through the event stream.  Returns the row plus the
-   digest used for the cross-mode equivalence check (global store,
-   per-node stores, cumulative counters) — the runtime itself is
-   dropped so the next mode's heap measurement does not retain this
-   one's simulator. *)
-let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
+(* Drive one repetition through the event stream.  Returns the row
+   plus the final state used for the equivalence gate (per-node stores
+   and the cumulative insert count) — the runtime itself is dropped so
+   the next repetition's heap measurement does not retain this one's
+   simulator. *)
+let churn_run ~n ~events ~warmup ~lifetime ~dt =
   (* Ring plus (i, i+5) chords: the chord offers in the event stream
      need topology edges to ship their derived paths over. *)
   let chord_fact s d =
@@ -977,7 +975,7 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
     | Ok r -> r.Ndlog.Localize.program
     | Error _ -> assert false
   in
-  let rt = Dist.Runtime.create ~tuple_ids:ids (topo_of_link_facts links) loc in
+  let rt = Dist.Runtime.create (topo_of_link_facts links) loc in
   Dist.Runtime.load_facts rt;
   Gc.full_major ();
   let live_start = (Gc.stat ()).Gc.live_words in
@@ -1046,7 +1044,7 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
   let wall_total = Unix.gettimeofday () -. t_start in
   let rep = Option.get !last in
   (* Live heap *retained by this run* — the growth over the post-setup
-     baseline, so the digest kept alive from a previous mode's run does
+     baseline, so the state kept alive from a previous repetition does
      not pollute the measurement.  [Gc.quick_stat] is free but zeroes
      [live_words]; the full [Gc.stat] after a major collection gives the
      real figure, and [heap_words] comes from the cheap counters. *)
@@ -1058,7 +1056,6 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
   let wall = wall_total -. !warm_wall in
   let inserts = rep.Dist.Runtime.total_inserts - !warm_inserts in
   let measured = events - warmup in
-  let global = Dist.Runtime.global_store rt in
   let node_stores =
     List.map
       (fun nm -> (nm, Dist.Runtime.node_store rt nm))
@@ -1066,7 +1063,6 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
   in
   let row =
     {
-      ch_mode = (if ids then "ids" else "boxed");
       ch_nodes = n;
       ch_events = events;
       ch_measured = measured;
@@ -1081,14 +1077,33 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
       ch_heap_words = heap_words;
       ch_interned = Ndlog.Intern.size ();
       ch_msgs = rep.Dist.Runtime.stats.Netsim.Sim.messages_sent;
-      ch_tuples = Ndlog.Store.total_tuples global;
+      ch_tuples =
+        Ndlog.Store.total_tuples (Dist.Runtime.global_store rt);
       ch_refresh_s = Dist.Runtime.refresh_seconds rt -. !warm_refresh_s;
       ch_refresh_walks = Dist.Runtime.refresh_walks rt - !warm_refresh_walks;
     }
   in
-  (row, (global, node_stores, rep.Dist.Runtime.total_inserts))
+  (row, (node_stores, rep.Dist.Runtime.total_inserts))
 
-(* Field-wise median across repetitions of one mode.  The counters that
+(* The final state as one MD5: every node's store, in topology order,
+   then the cumulative insert count. *)
+let churn_digest (node_stores, total_inserts) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun (nm, s) -> nm ^ "\n" ^ Ndlog.Store.to_string s)
+             node_stores)
+       ^ string_of_int total_inserts))
+
+(* The quick configuration's final state, keyed by (nodes, events):
+   digest, cumulative inserts, window inserts and live tuples — the
+   values the id-native runtime and its boxed twin agreed on before the
+   twin was retired (captured at commit b1028d5). *)
+let churn_golden =
+  [ ((64, 20_000), ("3039b3ee108ccf43c3b972409d24a65c", 49_861, 45_000, 862)) ]
+
+(* Field-wise median across repetitions.  The counters that
    are deterministic (inserts, messages, tuples, events) are asserted
    identical across repetitions by the digest check, so taking them
    from the first row is exact; the timing-dependent fields get the
@@ -1112,49 +1127,54 @@ let churn_median (rows : churn_row list) : churn_row =
     ch_refresh_s = medf (fun r -> r.ch_refresh_s);
   }
 
-let churn_point ~n ~events ~reps : churn_row * churn_row =
+let churn_point ~n ~events ~reps : churn_row * string =
   (* Offers recur every 2n events (dt = 1): a 3n lifetime outlives a
      kept offer cycle but lapses across a withheld one. *)
   let dt = 1.0 in
   let lifetime = 3.0 *. float_of_int n *. dt in
   let warmup = max (2 * n) (events / 10) in
   let warmup = min warmup (events / 2) in
-  (* Interleaved repetitions, alternating which mode runs first within
-     each pair: back-to-back runs on a shared machine show run-to-run
-     spread well above the effect under measurement, and the mode that
-     runs second inherits a grown GC heap — alternation cancels the
-     order bias, the per-mode median (churn_median) tames the noise. *)
-  let rows_b = ref [] and rows_i = ref [] in
-  let digest = ref None in
-  for rep = 0 to reps - 1 do
-    List.iter
-      (fun ids ->
-        let row, (g, ns, ins) =
-          churn_run ~ids ~n ~events ~warmup ~lifetime ~dt
-        in
-        (* The equivalence claim is part of the benchmark: every run
-           drives the identical deterministic stream to the identical
-           simulated instant, so any divergence — across modes or
-           across repetitions — fails the run loudly. *)
-        (match !digest with
-        | None -> digest := Some (g, ns, ins)
-        | Some (g0, ns0, ins0) ->
-          if
-            not
-              (Ndlog.Store.equal g g0
-              && ins = ins0
-              && List.for_all2
-                   (fun (nm, s) (nm0, s0) ->
-                     nm = nm0 && Ndlog.Store.equal s s0)
-                   ns ns0)
-          then failwith "E14: runs diverged across modes or repetitions");
-        if ids then rows_i := row :: !rows_i
-        else rows_b := row :: !rows_b)
-      (if rep land 1 = 0 then [ false; true ] else [ true; false ])
+  (* Back-to-back repetitions on a shared machine show run-to-run
+     spread well above most effects worth measuring; the median
+     (churn_median) tames it. *)
+  let rows = ref [] and final = ref None in
+  for _ = 1 to reps do
+    let row, st = churn_run ~n ~events ~warmup ~lifetime ~dt in
+    (* The equivalence claim is part of the benchmark: every run drives
+       the identical deterministic stream to the identical simulated
+       instant, so any divergence across repetitions fails loudly. *)
+    (match !final with
+    | None -> final := Some st
+    | Some (ns0, ins0) ->
+      let ns, ins = st in
+      if
+        not
+          (ins = ins0
+          && List.for_all2
+               (fun (nm, s) (nm0, s0) -> nm = nm0 && Ndlog.Store.equal s s0)
+               ns ns0)
+      then failwith "E14: runs diverged across repetitions");
+    rows := row :: !rows
   done;
-  (churn_median !rows_i, churn_median !rows_b)
+  let row = churn_median !rows in
+  let ((_, total_inserts) as st) = Option.get !final in
+  let digest = churn_digest st in
+  (match List.assoc_opt (n, events) churn_golden with
+  | None -> ()
+  | Some (d, ins, window, tuples) ->
+    if
+      digest <> d || total_inserts <> ins || row.ch_inserts <> window
+      || row.ch_tuples <> tuples
+    then
+      failwith
+        (Printf.sprintf
+           "E14: final state %s (%d inserts, %d in window, %d tuples) \
+            differs from the golden %s (%d, %d, %d)"
+           digest total_inserts row.ch_inserts row.ch_tuples d ins window
+           tuples));
+  (row, digest)
 
-(* The machine-readable ledger (BENCH_ndlog.json, schema 11).
+(* The machine-readable ledger (BENCH_ndlog.json, schema 12).
    E7, E11–E17 stash their sweep rows here; the harness emits one
    document at the end of the run.  The previous ledger's run history is
    carried forward and the finished run appended, so the committed file
@@ -1166,7 +1186,7 @@ let e7_sweeps : sweep_row list ref = ref []
 let e11_rows : batch_row list ref = ref []
 let e12_rows : inbox_row list ref = ref []
 let e13_rows : incr_row list ref = ref []
-let e14_rows : churn_row list ref = ref []
+let e14_result : (churn_row * string) option ref = ref None
 
 (* E15 machinery: where the id/boxed boundary may sit, in nanoseconds.
 
@@ -1375,7 +1395,6 @@ let emit_bench_json () =
   let e14_row r =
     Json.Obj
       [
-        ("mode", Json.Str r.ch_mode);
         ("nodes", Json.Int r.ch_nodes);
         ("events", Json.Int r.ch_events);
         ("measured_events", Json.Int r.ch_measured);
@@ -1397,20 +1416,8 @@ let emit_bench_json () =
           Json.Float (r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s) );
       ]
   in
-  (* Each stat pairs the id-native row with its boxed oracle; e14_rows
-     is [ids; boxed] when e14 ran, [] otherwise. *)
-  let e14_find mode f =
-    match List.find_opt (fun r -> r.ch_mode = mode) !e14_rows with
-    | Some r -> f r
-    | None -> Json.Null
-  in
-  let e14_speedup =
-    match
-      ( List.find_opt (fun r -> r.ch_mode = "ids") !e14_rows,
-        List.find_opt (fun r -> r.ch_mode = "boxed") !e14_rows )
-    with
-    | Some i, Some b -> Json.Float (i.ch_tuples_per_sec /. b.ch_tuples_per_sec)
-    | _ -> Json.Null
+  let e14_field f =
+    match !e14_result with Some (r, d) -> f r d | None -> Json.Null
   in
   let e15_row r =
     Json.Obj [ ("op", Json.Str r.xl_op); ("ns_per_op", Json.Float r.xl_ns) ]
@@ -1547,12 +1554,10 @@ let emit_bench_json () =
         ("e12_max_mean_group_size", e12_max_mean_group);
         ("e13_rows", Json.Int (List.length !e13_rows));
         ("e13_total_strata_skipped", e13_total_skipped);
-        ("e14_rows", Json.Int (List.length !e14_rows));
-        ("e14_speedup", e14_speedup);
-        ( "e14_tuples_per_sec_ids",
-          e14_find "ids" (fun r -> Json.Float r.ch_tuples_per_sec) );
-        ( "e14_p99_us_ids",
-          e14_find "ids" (fun r -> Json.Float r.ch_p99_us) );
+        ("e14_rows", Json.Int (if !e14_result = None then 0 else 1));
+        ( "e14_tuples_per_sec",
+          e14_field (fun r _ -> Json.Float r.ch_tuples_per_sec) );
+        ("e14_p99_us", e14_field (fun r _ -> Json.Float r.ch_p99_us));
         ("e15_rows", Json.Int (List.length !e15_rows));
         ("e15_probe_speedup", e15_probe_speedup);
         ("e16_rows", Json.Int (List.length !e16_rows));
@@ -1567,7 +1572,7 @@ let emit_bench_json () =
   Json.to_file bench_json_path
     (Json.Obj
        [
-         ("schema", Json.Int 11);
+         ("schema", Json.Int 12);
          ("quick", Json.Bool !quick);
          ("host_cores", Json.Int host_cores);
          ("unix_time", Json.Int now);
@@ -1599,43 +1604,19 @@ let emit_bench_json () =
                ("max_enum_saved_pct", e13_max_saved);
                ("sweeps", Json.Arr (List.map e13_row !e13_rows));
              ] );
+         (* E14: the median row (whose refresh-cost breakdown, schema
+            8, is the metric the journaled in-place refresh is
+            accountable to) and the final-state digest every repetition
+            reached — in the quick configuration, the golden one. *)
          ( "e14",
            Json.Obj
              [
-               ("speedup", e14_speedup);
-               ( "nodes",
-                 e14_find "ids" (fun r -> Json.Int r.ch_nodes) );
-               ( "events",
-                 e14_find "ids" (fun r -> Json.Int r.ch_events) );
-               ( "tuples_per_sec_ids",
-                 e14_find "ids" (fun r -> Json.Float r.ch_tuples_per_sec) );
-               ( "tuples_per_sec_boxed",
-                 e14_find "boxed" (fun r -> Json.Float r.ch_tuples_per_sec) );
-               ( "p99_us_ids",
-                 e14_find "ids" (fun r -> Json.Float r.ch_p99_us) );
-               ( "p99_us_boxed",
-                 e14_find "boxed" (fun r -> Json.Float r.ch_p99_us) );
-               ( "live_words_ids",
-                 e14_find "ids" (fun r -> Json.Int r.ch_live_words) );
-               ( "live_words_boxed",
-                 e14_find "boxed" (fun r -> Json.Int r.ch_live_words) );
-               (* Refresh-cost breakdown (schema 8): wall spent inside
-                  view-refresh walks and its share of the measurement
-                  window, per mode — the copy-tax metric the journaled
-                  in-place refresh is accountable to. *)
-               ( "refresh_s_ids",
-                 e14_find "ids" (fun r -> Json.Float r.ch_refresh_s) );
-               ( "refresh_s_boxed",
-                 e14_find "boxed" (fun r -> Json.Float r.ch_refresh_s) );
-               ( "refresh_share_ids",
-                 e14_find "ids" (fun r ->
-                     Json.Float (r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s))
-               );
-               ( "refresh_share_boxed",
-                 e14_find "boxed" (fun r ->
-                     Json.Float (r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s))
-               );
-               ("runs", Json.Arr (List.map e14_row !e14_rows));
+               ("digest", e14_field (fun _ d -> Json.Str d));
+               ( "runs",
+                 Json.Arr
+                   (match !e14_result with
+                   | Some (r, _) -> [ e14_row r ]
+                   | None -> []) );
              ] );
          ( "e15",
            Json.Obj
@@ -1967,52 +1948,50 @@ let e13 () =
      view-path enumeration reduction are asserted too.@."
 
 (* ------------------------------------------------------------------ *)
-(* E14: sustained churn under interned vs. boxed tuple storage. *)
+(* E14: sustained churn on the id-native runtime. *)
 
 let e14 () =
-  banner "e14" "sustained link/route churn, id-native vs. boxed evaluation"
+  banner "e14" "sustained link/route churn on the id-native runtime"
     "flat int-array tuples and integer joins keep a long-running \
      soft-state router fast and compact without changing a single tuple";
-  (* Quick mode is sized for the @bench-smoke alias (~15 s of churn);
-     the full run sustains a million events per repetition on a
+  (* Quick mode is sized for the @bench-smoke alias (a few seconds of
+     churn); the full run sustains a million events per repetition on a
      192-node chorded ring. *)
   let n = if !quick then 64 else 192 in
   let events = if !quick then 20_000 else 1_000_000 in
   let reps = 3 in
-  let row_i, row_b = churn_point ~n ~events ~reps in
-  e14_rows := [ row_i; row_b ];
+  let r, digest = churn_point ~n ~events ~reps in
+  e14_result := Some (r, digest);
   Fmt.pr
     "chorded ring of %d nodes, bounded path-vector with a promise-audit \
      rule, all predicates soft; %d alternating link-offer / route-promise \
-     events with withheld offers and flapping costs, %d interleaved \
-     repetitions per storage mode, medians reported (p50/p99 over the %d \
-     post-warmup events):@."
-    n events reps row_i.ch_measured;
+     events with withheld offers and flapping costs, %d repetitions, \
+     medians reported (p50/p99 over the %d post-warmup events):@."
+    n events reps r.ch_measured;
   table
     [
-      "storage"; "events"; "inserts"; "wall"; "tuples/s"; "events/s";
-      "p50"; "p99"; "max"; "live heap"; "interned";
+      "events"; "inserts"; "wall"; "tuples/s"; "events/s"; "p50"; "p99";
+      "max"; "live heap"; "interned";
     ]
-    (List.map
-       (fun r ->
-         [
-           r.ch_mode;
-           string_of_int r.ch_events;
-           string_of_int r.ch_inserts;
-           Fmt.str "%.1f s" r.ch_wall_s;
-           Fmt.str "%.0f" r.ch_tuples_per_sec;
-           Fmt.str "%.0f" r.ch_events_per_sec;
-           Fmt.str "%.0f us" r.ch_p50_us;
-           Fmt.str "%.0f us" r.ch_p99_us;
-           Fmt.str "%.0f us" r.ch_max_us;
-           Fmt.str "%dk words" (r.ch_live_words / 1000);
-           string_of_int r.ch_interned;
-         ])
-       [ row_i; row_b ]);
+    [
+      [
+        string_of_int r.ch_events;
+        string_of_int r.ch_inserts;
+        Fmt.str "%.1f s" r.ch_wall_s;
+        Fmt.str "%.0f" r.ch_tuples_per_sec;
+        Fmt.str "%.0f" r.ch_events_per_sec;
+        Fmt.str "%.0f us" r.ch_p50_us;
+        Fmt.str "%.0f us" r.ch_p99_us;
+        Fmt.str "%.0f us" r.ch_max_us;
+        Fmt.str "%dk words" (r.ch_live_words / 1000);
+        string_of_int r.ch_interned;
+      ];
+    ];
   Fmt.pr
-    "throughput ratio id-native/boxed: %.2fx; identical global fixpoint, \
-     per-node stores and insert counts are asserted across the two runs.@."
-    (row_i.ch_tuples_per_sec /. row_b.ch_tuples_per_sec)
+    "final state %s, identical across repetitions%s.@." digest
+    (if List.mem_assoc (n, events) churn_golden then
+       " and equal to the golden state the retired boxed twin agreed on"
+     else "")
 
 (* ------------------------------------------------------------------ *)
 (* E15: the per-probe price of each representation choice. *)

@@ -2,11 +2,12 @@
     paper's Figure 1).
 
     Every simulator node runs the same {e localized} program
-    ({!Ndlog.Localize}) over its own tuple store.  Execution is
-    pipelined semi-naive: inserting a tuple triggers the rules reading
-    its predicate with the new tuple as the delta; derived heads
-    located at the executing node recurse locally, heads located
-    elsewhere become network messages.
+    ({!Ndlog.Localize}) over its own flat id-tuple store
+    ({!Ndlog.Flat}), through one executor: compiled strands run by
+    {!Ndlog.Ideval}.  Execution is pipelined semi-naive: inserting a
+    tuple triggers the rules reading its predicate with the new tuple
+    as the delta; derived heads located at the executing node recurse
+    locally, heads located elsewhere become network messages.
 
     Message deliveries drain through a per-node inbox: every delivery
     landing at the same simulated instant is buffered and flushed
@@ -35,24 +36,26 @@
     dirty base predicates (those whose relations changed since its last
     refresh — marked by local insertions, inbox flushes, and expiry
     sweeps), and a refresh walks the view program's refresh strata
-    ({!Ndlog.Eval.refresh_strata}) bottom-up, skipping strata whose
-    transitive support saw no dirty predicate, seeding plain strata
-    with their previous relations plus the support deltas
-    ({!Ndlog.Plan.refresh_stratum}), and recomputing from scratch
+    ({!Ndlog.Eval.refresh_strata}) bottom-up, in place on the node's
+    store under undo-journal marks, skipping strata whose transitive
+    support saw no dirty predicate, seeding plain strata with their
+    previous relations plus the support deltas
+    ({!Ndlog.Ideval.refresh_stratum}), and recomputing from scratch
     strata with aggregates or negation, or whose support lost tuples.
     Skips and fallbacks are counted ([strata_skipped] /
     [refresh_fallbacks]).  [~incremental_views:false] (or environment
     variable [FVN_INCREMENTAL_VIEWS=0]) restores the from-scratch
     refresh, kept as the differential oracle: both modes produce
     bit-identical node stores, fixpoints, message traces, and lease
-    tables (qcheck property in the dist test suite). *)
+    tables (checked over every input of the dist test suite's shared
+    generator, which also pins both modes to a golden corpus and checks
+    every end state's views against the centralized evaluator). *)
 
 (** A tuple on the wire (defined in {!Wire}, re-exported here).
     [tuple] is always the canonical boxed form; [ids] carries the flat
-    (interned-id) payload when the sender runs id-natively, so the
-    receiver inserts without re-probing the intern table — in-process
-    only: cross-process frames drop it at encode (id spaces are
-    per-process). *)
+    (interned-id) payload, so the receiver inserts without re-probing
+    the intern table — in-process only: cross-process frames drop it at
+    encode (id spaces are per-process). *)
 type msg = Wire.msg = {
   pred : string;
   tuple : Ndlog.Store.Tuple.t;
@@ -62,6 +65,14 @@ type msg = Wire.msg = {
 type t
 
 exception Not_localized of string
+
+val split_views :
+  Ndlog.Ast.program -> string list * Ndlog.Ast.program * Ndlog.Ast.program
+(** [split_views p] = [(view_preds, view_program, pipeline_program)]:
+    aggregate rules and every rule transitively depending on an
+    aggregate head become the view program (facts dropped), refreshed
+    per node; the rest is pipelined.  Exported for the view-invariant
+    oracle in the dist test suite. *)
 
 (** Why a program's remote-located view head cannot be supported:
     its (hard-state) tuples could be withdrawn at the deriving node
@@ -98,7 +109,6 @@ val create :
   ?seed:int ->
   ?batch_inbox:bool ->
   ?incremental_views:bool ->
-  ?tuple_ids:bool ->
   ?transport:Transport.t ->
   ?hosted:string list ->
   Netsim.Topology.t ->
@@ -121,14 +131,6 @@ val create :
     unless environment variable [FVN_INCREMENTAL_VIEWS] is set to [0],
     [false], [no], or [off] — the hook the test suite's oracle pass
     uses).
-    [tuple_ids] selects id-native evaluation (default: [true], unless
-    environment variable [FVN_TUPLE_IDS] is set to [0], [false], [no],
-    or [off]): node stores are flat id-tuple databases
-    ({!Ndlog.Flat}), strands run through the id-native executor
-    ({!Ndlog.Ideval}), and messages carry flat payloads; [false] is
-    the boxed-value oracle.  Both modes produce identical fixpoints,
-    node stores, message traces, lease tables, and join statistics
-    (qcheck property in the dist test suite).
     @raise Not_localized when some rule body spans locations (run
     {!Ndlog.Localize.rewrite_program} first).
     @raise Remote_view_deletion when a hard-state view head is shipped
@@ -189,9 +191,6 @@ val node_leases : t -> string -> ((string * Ndlog.Store.Tuple.t) * float) list
 
 val incremental : t -> bool
 (** Whether this runtime refreshes views incrementally. *)
-
-val tuple_ids : t -> bool
-(** Whether this runtime evaluates id-natively. *)
 
 val refresh_seconds : t -> float
 (** Cumulative wall-clock seconds spent in view-refresh walks since

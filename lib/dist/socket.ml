@@ -105,12 +105,6 @@ let stop t = t.stop <- true
 (* ------------------------------------------------------------------ *)
 (* Dispatch. *)
 
-(* Boundary canonicalization: tuples decoded off the wire are fresh
-   allocations; re-interning restores physical sharing for the boxed
-   store (and the id-native receive path re-derives ids from the
-   canonical tuple). *)
-let canonicalize tuple = if !Intern.enabled then Intern.tuple tuple else tuple
-
 let deliver t ~src ~dst ~pred ~tuple =
   match Hashtbl.find_opt t.handlers dst with
   | None -> ()
@@ -118,10 +112,14 @@ let deliver t ~src ~dst ~pred ~tuple =
     t.events <- t.events + 1;
     h ~self:dst ~src { Wire.pred; tuple; ids = None }
 
+(* Boundary canonicalization: tuples decoded off the wire are fresh
+   allocations; re-interning restores physical sharing for the lease
+   keys the receiver stores (its receive path derives ids from the
+   canonical tuple). *)
 let dispatch t ~on_control = function
   | Wire.Data { src; dst; pred; tuple } ->
     t.received <- t.received + 1;
-    deliver t ~src ~dst ~pred ~tuple:(canonicalize tuple)
+    deliver t ~src ~dst ~pred ~tuple:(Intern.tuple tuple)
   | f -> on_control f
 
 (* Drain one readable connection: read a chunk, feed the decoder, and

@@ -227,10 +227,7 @@ let run ?(read_timeout = 10.0) ?(poll_interval = 0.02) ?(max_polls = 500)
                     List.fold_left
                       (fun acc (pred, tuples) ->
                         Store.add_list pred
-                          (List.map
-                             (fun tu ->
-                               if !Intern.enabled then Intern.tuple tu else tu)
-                             tuples)
+                          (List.map Intern.tuple tuples)
                           acc)
                       Store.empty rels ))
                 dump

@@ -962,20 +962,6 @@ let refresh_strata (p : Ast.program) : refresh_stratum list =
          by_rank []
       |> List.rev)
 
-(* Evaluate one stratum of [p] to fixpoint on [db] (aggregate rules
-   once at entry, plain rules semi-naively): the from-scratch fallback
-   of incremental view refresh, also usable on refresh strata since
-   they refine the analysis strata. *)
-let seminaive_stratum ?(max_rounds = 10_000) ?stats (p : Ast.program)
-    (stratum : string list) (db : Store.t) : Store.t * bool =
-  let st = counters () in
-  let rounds = ref 0 and count = ref 0 in
-  let db, converged =
-    eval_stratum_seminaive st db stratum p ~max_rounds ~rounds ~count
-  in
-  Option.iter (fun c -> accumulate c (snapshot st)) stats;
-  (db, converged)
-
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 

@@ -275,18 +275,6 @@ val refresh_strata : Ast.program -> refresh_stratum list
     tolerates, everything collapses into a single stratum (correct,
     just never incremental). *)
 
-val seminaive_stratum :
-  ?max_rounds:int ->
-  ?stats:counters ->
-  Ast.program ->
-  string list ->
-  Store.t ->
-  Store.t * bool
-(** [seminaive_stratum p preds db]: evaluate the single stratum of [p]
-    whose heads are [preds] to fixpoint on [db] — aggregate rules once
-    at entry, plain rules semi-naively.  The from-scratch fallback of
-    incremental view refresh. *)
-
 (** {1 Entry points} *)
 
 val run :

@@ -384,17 +384,11 @@ let preds db =
        (fun p r acc -> if Fset.is_empty r.set then acc else p :: acc)
        db.rels [])
 
-let total_tuples db =
-  Hashtbl.fold (fun _ r acc -> acc + Fset.cardinal r.set) db.rels 0
-
 let is_empty db =
   Hashtbl.fold (fun _ r acc -> acc && Fset.is_empty r.set) db.rels true
 
 let iter_rel db pred f =
   match find_rel db pred with Some r -> Fset.iter f r.set | None -> ()
-
-let fold_rel db pred f acc =
-  match find_rel db pred with Some r -> Fset.fold f r.set acc | None -> acc
 
 let iter db f =
   List.iter (fun pred -> iter_rel db pred (fun t -> f pred t)) (preds db)

@@ -83,10 +83,8 @@ val remove : t -> string -> int array -> bool
 
 val cardinal : t -> string -> int
 val preds : t -> string list
-val total_tuples : t -> int
 val is_empty : t -> bool
 val iter_rel : t -> string -> (int array -> unit) -> unit
-val fold_rel : t -> string -> (int array -> 'a -> 'a) -> 'a -> 'a
 val iter : t -> (string -> int array -> unit) -> unit
 
 val lookup : t -> string -> cols:int list -> key:int array -> int array list

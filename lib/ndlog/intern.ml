@@ -21,23 +21,10 @@
    joins); anything that needs the canonical order converts back to
    boxed values first.
 
-   [id] and [canon] always intern, regardless of {!enabled}: the flag
-   only tells {!Store} whether to canonicalize incoming tuples.  That
-   way flipping the flag mid-run (as the benchmarks do) can never make
-   an id lookup miss a value interned under the other setting.
-
    Thread safety: a single mutex guards the tables, making interning
    safe for a library client that calls it from several domains or
    threads.  The critical sections are a hash-table probe or insert —
    uncontended locking is cheap next to the work saved. *)
-
-(* Interning defaults on; FVN_INTERNING=0 (or false/no/off) restores
-   the boxed-value oracle path. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "FVN_INTERNING" with
-    | Some ("0" | "false" | "no" | "off") -> false
-    | _ -> true)
 
 (* The hash-cons table must use Value's own equality and hash —
    Value.hash is structural over the List constructor, and a generic

@@ -15,12 +15,6 @@
     All operations are thread-safe: a mutex guards the tables, so a
     library client may intern from several domains or threads. *)
 
-val enabled : bool ref
-(** Whether {!Store} canonicalizes incoming tuples.  Defaults to
-    [true]; the environment switch [FVN_INTERNING=0] selects the
-    boxed-value oracle path.  Interning itself ({!id}, {!canon}) always
-    works regardless, so the flag can be flipped mid-run safely. *)
-
 val canon : Value.t -> Value.t
 (** The canonical representative of a value, interning on first sight.
     [canon v] is structurally equal to [v], and physically equal across

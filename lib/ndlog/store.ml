@@ -248,8 +248,7 @@ let of_facts (facts : Ast.fact list) : t =
   List.fold_left
     (fun db (f : Ast.fact) ->
       let tuple = Array.of_list f.Ast.fact_args in
-      let tuple = if !Intern.enabled then Intern.tuple tuple else tuple in
-      add f.Ast.fact_pred tuple db)
+      add f.Ast.fact_pred (Intern.tuple tuple) db)
     empty facts
 
 let fold_rel pred f (db : t) acc = Tset.fold f (relation pred db) acc

@@ -10,13 +10,13 @@
     {!hash}, so two stores with the same tuples remain the same
     model-checker state whatever joins have been run against them.
 
-    When interning is on ({!Intern.enabled}, the default), tuples
-    arrive here already canonicalized — interning happens at the system
-    boundaries (fact loading, event injection, expression construction)
-    so resident values are physically shared.  That is a representation
-    change only: tuple contents, canonical order, {!equal} / {!compare}
-    / {!hash}, and every observable result are identical to the boxed
-    path ([FVN_INTERNING=0]). *)
+    Tuples arrive here already canonicalized ({!Intern}) — interning
+    happens at the system boundaries (fact loading, event injection,
+    expression construction) so resident values are physically shared.
+    That is a representation change only: tuple contents, canonical
+    order, {!equal} / {!compare} / {!hash}, and every observable result
+    are those of unshared boxes (the store tests build such twins
+    through {!add} and compare them). *)
 
 (** Tuples: value arrays compared lexicographically (length first). *)
 module Tuple : sig

@@ -21,22 +21,8 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-(* Build the simulator topology matching a set of link facts. *)
-let topo_of_links links =
-  let t = Topo.create () in
-  List.iter
-    (fun (f : Ast.fact) ->
-      match f.Ast.fact_args with
-      | [ s; d; c ] ->
-        Topo.add_link ~cost:(V.as_int c) t (V.as_addr s) (V.as_addr d)
-      | _ -> ())
-    links;
-  t
-
-let localized p =
-  match Localize.rewrite_program p with
-  | Ok r -> r.Localize.program
-  | Error e -> Alcotest.failf "localization failed: %a" Localize.pp_error e
+let topo_of_links = Dist_cases.topo_of_links
+let localized = Dist_cases.localized
 
 (* Run a program distributed and centralized; compare a relation. *)
 let compare_dist_centralized ?(preds = [ "path"; "bestPath"; "bestPathCost" ])
@@ -318,17 +304,7 @@ let test_node_order_determinism () =
 (* ------------------------------------------------------------------ *)
 (* View shipping: diff-only, with soft leases renewed while derived. *)
 
-let ship_view_src =
-  {|
-materialize(link, infinity).
-materialize(obs, 3).
-materialize(noise, infinity).
-materialize(best, infinity).
-materialize(rep, 10).
-
-v1 best(@S, D, min<C>) :- obs(@S, D, C).
-v2 rep(@D, S, C) :- best(@S, D, C).
-|}
+let ship_view_src = Dist_cases.ship_view_src
 
 let test_view_shipping_diff_and_expiry () =
   let links = Programs.both "n0" "n1" 1 in
@@ -448,279 +424,108 @@ let test_remote_view_check_accepts_canonical () =
    observationally identical to the from-scratch oracle, and must
    actually skip work. *)
 
-(* Differential property: over random localized view programs ×
-   topologies × refresh/expiry interleavings, the incremental and
-   from-scratch runtimes produce bit-identical per-node stores, global
-   fixpoints, message traces, and lease tables.  The generator is pure
-   ints, so every failure is replayable from the printed seed. *)
-let prop_incremental_equivalence =
-  QCheck.Test.make
-    ~name:
-      "incremental = from-scratch refresh (stores, traces, leases)"
-    ~count:15
-    QCheck.(
-      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 4))
-    (fun (prog_i, topo_i, n, extra) ->
-      let links =
-        match topo_i with
-        | 0 -> Programs.ring_links n
-        | 1 -> Programs.grid_links (2 + (n mod 2))
-        | _ -> Programs.star_links n
+(* Differential check: over every input of the shared generator
+   ({!Dist_cases}: localized view programs × topologies × sizes ×
+   refresh/expiry interleavings), the incremental and from-scratch
+   runtimes produce bit-identical per-node stores, global fixpoints,
+   message traces, and lease tables. *)
+let test_incremental_equivalence () =
+  List.iter
+    (fun c ->
+      let rt_i, rep_i = Dist_cases.run ~incremental_views:true c in
+      let rt_s, rep_s = Dist_cases.run ~incremental_views:false c in
+      let ok =
+        rep_i.Runtime.stats.Netsim.Sim.quiesced
+        && rep_s.Runtime.stats.Netsim.Sim.quiesced
+        && Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_s)
+        && rep_i.Runtime.total_inserts = rep_s.Runtime.total_inserts
+        && Netsim.Sim.trace (Runtime.simulator rt_i)
+           = Netsim.Sim.trace (Runtime.simulator rt_s)
+        && List.for_all
+             (fun nm ->
+               Store.equal (Runtime.node_store rt_i nm)
+                 (Runtime.node_store rt_s nm)
+               && Runtime.node_leases rt_i nm = Runtime.node_leases rt_s nm)
+             (Dist_cases.nodes c)
       in
-      let endpoints =
-        List.filter_map
-          (fun (f : Ast.fact) ->
-            match f.Ast.fact_args with
-            | [ s; d; _ ] -> Some (V.as_addr s, V.as_addr d)
-            | _ -> None)
-          links
-      in
-      (* A deterministic slice of the links drives the staged
-         mid-run insertions (new costs / refreshed observations). *)
-      let staged =
-        List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
-      in
-      let soft = prog_i = 2 in
-      let p =
-        match prog_i with
-        | 0 ->
-          localized (Programs.with_links (Programs.path_vector ()) links)
-        | 1 ->
-          localized
-            (Programs.with_links
-               (Programs.bounded_distance_vector ~max_hops:(n + 1))
-               links)
-        | _ ->
-          (* Soft support under a shipped soft view: obs expires, best
-             is withdrawn, rep's remote lease lapses. *)
-          let p = Programs.with_links (Programs.parse_exn ship_view_src) links in
-          {
-            p with
-            Ast.facts =
-              p.Ast.facts
-              @ List.map
-                  (fun (s, d) ->
-                    Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                  staged;
-          }
-      in
-      let go ~incremental_views =
-        let rt = Runtime.create ~incremental_views (topo_of_links links) p in
-        Netsim.Sim.set_tracing (Runtime.simulator rt) true;
-        Runtime.load_facts rt;
-        ignore (Runtime.run rt ~until:1.0);
-        (* Interleave insertions with partial runs so refreshes land
-           between (and during) lease windows. *)
-        List.iteri
-          (fun i (s, d) ->
-            if soft then
-              Runtime.insert rt s "obs" [| V.Addr s; V.Addr d; V.Int (9 + i) |]
-            else
-              Runtime.insert rt s "link" [| V.Addr s; V.Addr d; V.Int (2 + i) |];
-            ignore (Runtime.run rt ~until:(1.5 +. (0.5 *. float_of_int i))))
-          staged;
-        let rep = Runtime.run rt ~until:80.0 in
-        (rt, rep)
-      in
-      let rt_i, rep_i = go ~incremental_views:true in
-      let rt_s, rep_s = go ~incremental_views:false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      rep_i.Runtime.stats.Netsim.Sim.quiesced
-      && rep_s.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_s)
-      && rep_i.Runtime.total_inserts = rep_s.Runtime.total_inserts
-      && Netsim.Sim.trace (Runtime.simulator rt_i)
-         = Netsim.Sim.trace (Runtime.simulator rt_s)
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_i nm)
-               (Runtime.node_store rt_s nm)
-             && Runtime.node_leases rt_i nm = Runtime.node_leases rt_s nm)
-           nodes)
+      if not ok then
+        Alcotest.failf "%s: incremental and from-scratch runs differ"
+          (Dist_cases.name c))
+    Dist_cases.all
 
-(* Differential property for the interned representation: over the same
-   random programs × topologies × interleavings as the refresh property,
-   a runtime on the interned path and one on the boxed oracle path
-   ([FVN_INTERNING=0]) produce bit-identical per-node stores, global
-   fixpoints, message traces, lease tables, and evaluator statistics —
-   interning is a representation change with no observable behavior. *)
-let prop_interned_equivalence =
-  QCheck.Test.make
-    ~name:"interned = boxed runtime (stores, traces, leases, stats)"
-    ~count:10
-    QCheck.(
-      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 4))
-    (fun (prog_i, topo_i, n, extra) ->
-      let links =
-        match topo_i with
-        | 0 -> Programs.ring_links n
-        | 1 -> Programs.grid_links (2 + (n mod 2))
-        | _ -> Programs.star_links n
-      in
-      let endpoints =
-        List.filter_map
-          (fun (f : Ast.fact) ->
-            match f.Ast.fact_args with
-            | [ s; d; _ ] -> Some (V.as_addr s, V.as_addr d)
-            | _ -> None)
-          links
-      in
-      let staged =
-        List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
-      in
-      let soft = prog_i = 2 in
-      let p =
-        match prog_i with
-        | 0 ->
-          localized (Programs.with_links (Programs.path_vector ()) links)
-        | 1 ->
-          localized
-            (Programs.with_links
-               (Programs.bounded_distance_vector ~max_hops:(n + 1))
-               links)
-        | _ ->
-          let p = Programs.with_links (Programs.parse_exn ship_view_src) links in
-          {
-            p with
-            Ast.facts =
-              p.Ast.facts
-              @ List.map
-                  (fun (s, d) ->
-                    Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                  staged;
-          }
-      in
-      let go interning =
-        let saved = !Ndlog.Intern.enabled in
-        Ndlog.Intern.enabled := interning;
-        Fun.protect
-          ~finally:(fun () -> Ndlog.Intern.enabled := saved)
-          (fun () ->
-            let rt = Runtime.create (topo_of_links links) p in
-            Netsim.Sim.set_tracing (Runtime.simulator rt) true;
-            Runtime.load_facts rt;
-            ignore (Runtime.run rt ~until:1.0);
-            List.iteri
-              (fun i (s, d) ->
-                if soft then
-                  Runtime.insert rt s "obs"
-                    [| V.Addr s; V.Addr d; V.Int (9 + i) |]
-                else
-                  Runtime.insert rt s "link"
-                    [| V.Addr s; V.Addr d; V.Int (2 + i) |];
-                ignore (Runtime.run rt ~until:(1.5 +. (0.5 *. float_of_int i))))
-              staged;
-            let rep = Runtime.run rt ~until:80.0 in
-            (rt, rep))
-      in
-      let rt_i, rep_i = go true in
-      let rt_b, rep_b = go false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      rep_i.Runtime.stats.Netsim.Sim.quiesced
-      && rep_b.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_b)
-      && rep_i.Runtime.total_inserts = rep_b.Runtime.total_inserts
-      && rep_i.Runtime.eval_stats = rep_b.Runtime.eval_stats
-      && rep_i.Runtime.wire_stats = rep_b.Runtime.wire_stats
-      && rep_i.Runtime.view_stats = rep_b.Runtime.view_stats
-      && Netsim.Sim.trace (Runtime.simulator rt_i)
-         = Netsim.Sim.trace (Runtime.simulator rt_b)
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_i nm)
-               (Runtime.node_store rt_b nm)
-             && Runtime.node_leases rt_i nm = Runtime.node_leases rt_b nm)
-           nodes)
+(* The golden corpus: one line per generator input with the
+   incremental and from-scratch digests of its end state
+   ({!Dist_cases.corpus_line}), captured from the boxed and the
+   id-native executors, which agreed on every line.  Each input is its
+   own case, so a drift names its input. *)
+let corpus =
+  lazy
+    (In_channel.with_open_text "dist_corpus.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.index_opt line ' ' with
+           | Some i -> Some (String.sub line 0 i, line)
+           | None -> None))
 
-(* Differential property for id-native evaluation: over the same random
-   programs × topologies × interleavings, a runtime on the flat id-tuple
-   path ([~tuple_ids:true], the default) and one on the boxed oracle
-   path produce bit-identical per-node stores, global fixpoints, message
-   traces, lease tables, and evaluator statistics — the flat
-   representation is a storage/join change with no observable
-   behavior. *)
-let prop_tuple_ids_equivalence =
-  QCheck.Test.make
-    ~name:"id-native = boxed runtime (stores, traces, leases, stats)"
-    ~count:10
-    QCheck.(
-      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 4))
-    (fun (prog_i, topo_i, n, extra) ->
-      let links =
-        match topo_i with
-        | 0 -> Programs.ring_links n
-        | 1 -> Programs.grid_links (2 + (n mod 2))
-        | _ -> Programs.star_links n
-      in
-      let endpoints =
-        List.filter_map
-          (fun (f : Ast.fact) ->
-            match f.Ast.fact_args with
-            | [ s; d; _ ] -> Some (V.as_addr s, V.as_addr d)
-            | _ -> None)
-          links
-      in
-      let staged =
-        List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
-      in
-      let soft = prog_i = 2 in
-      let p =
-        match prog_i with
-        | 0 ->
-          localized (Programs.with_links (Programs.path_vector ()) links)
-        | 1 ->
-          localized
-            (Programs.with_links
-               (Programs.bounded_distance_vector ~max_hops:(n + 1))
-               links)
-        | _ ->
-          let p = Programs.with_links (Programs.parse_exn ship_view_src) links in
-          {
-            p with
-            Ast.facts =
-              p.Ast.facts
-              @ List.map
-                  (fun (s, d) ->
-                    Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                  staged;
-          }
-      in
-      let go tuple_ids =
-        let rt = Runtime.create ~tuple_ids (topo_of_links links) p in
-        Netsim.Sim.set_tracing (Runtime.simulator rt) true;
-        Runtime.load_facts rt;
-        ignore (Runtime.run rt ~until:1.0);
-        List.iteri
-          (fun i (s, d) ->
-            if soft then
-              Runtime.insert rt s "obs" [| V.Addr s; V.Addr d; V.Int (9 + i) |]
-            else
-              Runtime.insert rt s "link" [| V.Addr s; V.Addr d; V.Int (2 + i) |];
-            ignore (Runtime.run rt ~until:(1.5 +. (0.5 *. float_of_int i))))
-          staged;
-        let rep = Runtime.run rt ~until:80.0 in
-        (rt, rep)
-      in
-      let rt_f, rep_f = go true in
-      let rt_b, rep_b = go false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      Runtime.tuple_ids rt_f
-      && (not (Runtime.tuple_ids rt_b))
-      && rep_f.Runtime.stats.Netsim.Sim.quiesced
-      && rep_b.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_f) (Runtime.global_store rt_b)
-      && rep_f.Runtime.total_inserts = rep_b.Runtime.total_inserts
-      && rep_f.Runtime.eval_stats = rep_b.Runtime.eval_stats
-      && rep_f.Runtime.wire_stats = rep_b.Runtime.wire_stats
-      && rep_f.Runtime.view_stats = rep_b.Runtime.view_stats
-      && Netsim.Sim.trace (Runtime.simulator rt_f)
-         = Netsim.Sim.trace (Runtime.simulator rt_b)
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_f nm)
-               (Runtime.node_store rt_b nm)
-             && Runtime.node_leases rt_f nm = Runtime.node_leases rt_b nm)
-           nodes)
+let test_corpus c () =
+  match List.assoc_opt (Dist_cases.name c) (Lazy.force corpus) with
+  | None -> Alcotest.failf "%s: no golden line" (Dist_cases.name c)
+  | Some expected ->
+    Alcotest.(check string) "digests" expected (Dist_cases.corpus_line c)
+
+(* The view invariant, against centralized boxed evaluation: at a
+   quiesced end state, let F_m be the fixpoint of the view program over
+   node m's non-view relations.  Then node n stores exactly the
+   tuples of F_n it owns (or that have no owner) plus the tuples every
+   other F_m ships to n. *)
+let check_view_invariant c (rt, (rep : Runtime.run_report)) =
+  let p = Dist_cases.program c in
+  let view_preds, view_program, _ = Runtime.split_views p in
+  let info = Ndlog.Analysis.analyze_exn p in
+  let locs = Ndlog.Shard.loc_index_map view_program in
+  let nodes = Dist_cases.nodes c in
+  let fixpoint m =
+    let s = Runtime.node_store rt m in
+    let base =
+      Store.restrict
+        (List.filter (fun q -> not (List.mem q view_preds)) (Store.preds s))
+        s
+    in
+    (m, (Eval.seminaive view_program info base).Eval.db)
+  in
+  let fixpoints = List.map fixpoint nodes in
+  let owned pred f =
+    Store.Tset.filter (fun t ->
+        f (Ndlog.Shard.tuple_location (Hashtbl.find_opt locs pred) t))
+  in
+  checkb (Dist_cases.name c ^ " quiesced") true
+    rep.Runtime.stats.Netsim.Sim.quiesced;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun pred ->
+          let expected =
+            List.fold_left
+              (fun acc (m, fm) ->
+                let rel = Store.relation pred fm in
+                Store.Tset.union acc
+                  (if m = n then
+                     owned pred (function Some o -> o = n | None -> true) rel
+                   else owned pred (fun o -> o = Some n) rel))
+              Store.Tset.empty fixpoints
+          in
+          let stored = Store.relation pred (Runtime.node_store rt n) in
+          if not (Store.Tset.equal expected stored) then
+            Alcotest.failf "%s: %s@%s stores %d tuples, views derive %d"
+              (Dist_cases.name c) pred n
+              (Store.Tset.cardinal stored)
+              (Store.Tset.cardinal expected))
+        view_preds)
+    nodes
+
+let test_view_invariant c () =
+  check_view_invariant c (Dist_cases.run ~incremental_views:true c);
+  check_view_invariant c (Dist_cases.run ~incremental_views:false c)
 
 (* A view program whose support splits cleanly: [best]/[seen] depend on
    [obs] only, so a [noise] insertion must touch no view stratum. *)
@@ -1310,9 +1115,9 @@ let () =
         ] );
       ( "incremental",
         [
-          QCheck_alcotest.to_alcotest prop_incremental_equivalence;
-          QCheck_alcotest.to_alcotest prop_interned_equivalence;
-          QCheck_alcotest.to_alcotest prop_tuple_ids_equivalence;
+          Alcotest.test_case
+            "incremental = from-scratch refresh (stores, traces, leases)"
+            `Quick test_incremental_equivalence;
           Alcotest.test_case "dirty marks and clears" `Quick
             test_dirty_marks_and_clears;
           Alcotest.test_case "dirty marks expiry" `Quick
@@ -1325,6 +1130,17 @@ let () =
           Alcotest.test_case "remote-view printer and table" `Quick
             test_remote_view_printer_and_table;
         ] );
+      ( "corpus",
+        List.map
+          (fun c ->
+            Alcotest.test_case (Dist_cases.name c) `Quick (test_corpus c))
+          Dist_cases.all );
+      ( "view invariant",
+        List.map
+          (fun c ->
+            Alcotest.test_case (Dist_cases.name c) `Quick
+              (test_view_invariant c))
+          Dist_cases.all );
       ( "distance_vector",
         [
           Alcotest.test_case "converges" `Quick test_dv_converges;

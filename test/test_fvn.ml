@@ -230,39 +230,22 @@ let test_explore_index_independence () =
     (Mcheck.Explore.Table.mem tbl cold)
 
 (* Interning independence: hash-consed tuples are a representation
-   change, so exploration under the interned path and
-   under the boxed oracle ([FVN_INTERNING=0]) must visit the same state
-   space, and an interned store must be the same visited-table state as
-   its boxed twin. *)
+   change, so an interned store must be the same visited-table state
+   as its twin built from fresh, unshared boxes. *)
 let test_explore_interning_independence () =
-  let program =
-    Programs.with_links (Programs.path_vector ()) (Programs.line_links 3)
+  let rows i =
+    [|
+      V.Addr (Bytes.to_string (Bytes.of_string ("n" ^ string_of_int i)));
+    |]
   in
-  let explore () =
-    Mcheck.Explore.explore ~max_states:5_000 (Mcheck.Ndlog_ts.system program)
+  let build twin =
+    Store.add_list "r" (List.init 20 (fun i -> twin (rows i))) Store.empty
   in
-  let saved = !Ndlog.Intern.enabled in
-  let under flag =
-    Ndlog.Intern.enabled := flag;
-    Fun.protect ~finally:(fun () -> Ndlog.Intern.enabled := saved) explore
-  in
-  let on = under true and off = under false in
-  checki "states independent of interning" off.Mcheck.Explore.states
-    on.Mcheck.Explore.states;
-  checki "transitions independent of interning" off.Mcheck.Explore.transitions
-    on.Mcheck.Explore.transitions;
-  checki "depth independent of interning" off.Mcheck.Explore.max_depth
-    on.Mcheck.Explore.max_depth;
-  let rows = List.init 20 (fun i -> [| V.Addr ("n" ^ string_of_int i) |]) in
-  let build () = Store.add_list "r" rows Store.empty in
-  Ndlog.Intern.enabled := true;
-  let interned =
-    Fun.protect ~finally:(fun () -> Ndlog.Intern.enabled := saved) build
-  in
-  Ndlog.Intern.enabled := false;
-  let boxed =
-    Fun.protect ~finally:(fun () -> Ndlog.Intern.enabled := saved) build
-  in
+  let interned = build Ndlog.Intern.tuple in
+  let boxed = build Fun.id in
+  checkb "twins share no boxes" true
+    ((Store.tuples "r" interned |> List.hd).(0)
+    != (Store.tuples "r" boxed |> List.hd).(0));
   ignore (Store.lookup "r" ~cols:[ 0 ] ~key:[ V.Addr "n3" ] interned);
   let tbl =
     Mcheck.Explore.Table.create ~equal:Store.equal ~hash:Store.hash ()
