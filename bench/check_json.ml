@@ -1,11 +1,11 @@
 (* Smoke check for the benchmark ledger: BENCH_ndlog.json must parse
-   as a schema-12 document carrying a non-empty E7 sweep (indexed vs.
-   baseline timings), an E11 sweep (batched vs. per-tuple delta joins,
-   with the enumeration reduction recorded per row), an E12 sweep (the distributed
-   runtime's inbox batching vs. per-message deliveries, with the wire
-   delta-group sizes recorded per row), an E13 sweep (incremental view
-   refresh vs. from-scratch recomputation, with skipped strata and
-   view-path enumeration recorded per row), an E14 churn section (the
+   as a schema-13 document carrying a non-empty E7 section (centralized
+   semi-naive and distributed runs of the same programs, each row's
+   enumeration within its recorded bound, every distributed fixpoint
+   equal to the centralized one, and coalesced inbox flushes — mean
+   wire delta-group size > 1 — on rings of 8 and more), an E13 sweep
+   (incremental view refresh vs. from-scratch recomputation, with
+   skipped strata and view-path enumeration recorded per row), an E14 churn section (the
    sustained link/route churn workload on the id-native runtime, with
    the final-state digest every repetition reached, and — new in schema
    8 — the refresh-cost breakdown: wall seconds inside view-refresh
@@ -24,11 +24,13 @@
    completed plain baseline), and a run-history array.  Schema 11
    retired E8 (the sharded multicore evaluator) with the engine it
    measured; schema 12 retired E14's boxed run and its speedup with the
-   boxed runtime.  Run by the @bench-smoke alias
-   so a broken emitter (or a regression that stops a sweep from
-   completing, a run diverging from its baseline fixpoint, or
-   batching/incrementality losing its enumeration win) fails the
-   build loudly. *)
+   boxed runtime; schema 13 retired E11 (per-tuple delta joins) and E12
+   (per-message deliveries) into E7's absolute enumeration bounds, and
+   requires E14 to record the messages its window sent.  Run by the
+   @bench-smoke alias so a broken emitter (or a regression that stops a
+   sweep from completing, a run diverging from its oracle fixpoint, or
+   batching/incrementality losing its enumeration win) fails the build
+   loudly. *)
 
 let fail fmt = Fmt.kstr (fun m -> prerr_endline m; exit 1) fmt
 
@@ -56,78 +58,60 @@ let () =
   | Error e -> fail "%s: does not parse: %s" path e
   | Ok v ->
     (match Json.member "schema" v with
-    | Some (Json.Int 12) -> ()
-    | _ -> fail "%s: missing schema=12" path);
+    | Some (Json.Int 13) -> ()
+    | _ -> fail "%s: missing schema=13" path);
     List.iter
       (fun k ->
         match Json.member k v with
         | Some _ -> ()
         | None -> fail "%s: missing top-level %S" path k)
       [
-        "quick"; "host_cores"; "unix_time"; "e7"; "e11"; "e12"; "e13"; "e14";
+        "quick"; "host_cores"; "unix_time"; "e7"; "e13"; "e14";
         "e15"; "e16"; "e17"; "history";
       ];
-    (* E7: index layer on vs. off. *)
+    (* E7: centralized and distributed rows, each within its recorded
+       enumeration bound; distributed rows equal to the centralized
+       fixpoint, with coalesced flushes on rings of 8 and more. *)
     let e7 = Option.get (Json.member "e7" v) in
     let sweeps = nonempty_sweeps path "e7" e7 in
+    let dist =
+      match Option.bind (Json.member "distributed" e7) Json.as_arr with
+      | Some (_ :: _ as d) -> d
+      | _ -> fail "%s: empty or missing e7 distributed rows" path
+    in
+    let within_bound what i row =
+      match (Json.member "enumerated" row, Json.member "enumerated_bound" row) with
+      | Some (Json.Int e), Some (Json.Int b) when e <= b -> ()
+      | _ -> fail "%s: %s row %d enumeration exceeds its bound" path what i
+    in
     List.iteri
       (fun i row ->
         require_fields path "e7" i row
           [
-            "program"; "topology"; "n"; "tuples"; "indexed_ms"; "baseline_ms";
-            "speedup"; "same_fixpoint";
+            "program"; "topology"; "n"; "tuples"; "rounds"; "eval_ms";
+            "enumerated"; "enumerated_bound"; "groups"; "group_probes";
           ];
-        require_same_fixpoint path "e7" i row)
+        within_bound "e7" i row)
       sweeps;
-    (* E11: batched vs. per-tuple delta joins.  Every row must record a
-       strict enumeration reduction on top of the identical fixpoint. *)
-    let e11 = Option.get (Json.member "e11" v) in
-    let batch_sweeps = nonempty_sweeps path "e11" e11 in
     List.iteri
       (fun i row ->
-        require_fields path "e11" i row
-          [
-            "program"; "topology"; "n"; "tuples"; "batched_ms"; "per_tuple_ms";
-            "speedup"; "groups"; "group_probes"; "enumerated_batched";
-            "enumerated_per_tuple"; "enum_reduced"; "same_fixpoint";
-          ];
-        (match Json.member "enum_reduced" row with
-        | Some (Json.Bool true) -> ()
-        | _ -> fail "%s: e11 row %d lost the enumeration reduction" path i);
-        require_same_fixpoint path "e11" i row)
-      batch_sweeps;
-    (* E12: the distributed runtime's inbox batching vs. per-message
-       deliveries.  Every row must record the identical fixpoint; ring
-       rows at n >= 8 must also record coalesced flushes (mean wire
-       delta-group size > 1) and a strict wire-path enumeration
-       reduction. *)
-    let e12 = Option.get (Json.member "e12" v) in
-    let inbox_sweeps = nonempty_sweeps path "e12" e12 in
-    List.iteri
-      (fun i row ->
-        require_fields path "e12" i row
+        require_fields path "e7 distributed" i row
           [
             "program"; "topology"; "n"; "nodes"; "tuples"; "messages";
-            "batched_ms"; "per_message_ms"; "speedup"; "wire_groups";
-            "wire_delta_tuples"; "mean_group_size"; "enumerated_batched";
-            "enumerated_per_message"; "enum_reduced"; "same_fixpoint";
+            "dist_ms"; "wire_groups"; "wire_delta_tuples"; "mean_group_size";
+            "enumerated"; "enumerated_bound"; "same_fixpoint";
           ];
-        require_same_fixpoint path "e12" i row;
-        let strict =
-          match (Json.member "topology" row, Json.member "n" row) with
-          | Some (Json.Str "ring"), Some (Json.Int n) -> n >= 8
-          | _ -> false
-        in
-        if strict then begin
-          (match Json.member "mean_group_size" row with
+        within_bound "e7 distributed" i row;
+        require_same_fixpoint path "e7 distributed" i row;
+        match (Json.member "topology" row, Json.member "n" row) with
+        | Some (Json.Str "ring"), Some (Json.Int n) when n >= 8 -> (
+          match Json.member "mean_group_size" row with
           | Some (Json.Float g) when g > 1.0 -> ()
-          | _ -> fail "%s: e12 row %d mean wire group size not > 1" path i);
-          match Json.member "enum_reduced" row with
-          | Some (Json.Bool true) -> ()
           | _ ->
-            fail "%s: e12 row %d lost the wire enumeration reduction" path i
-        end)
-      inbox_sweeps;
+            fail "%s: e7 distributed row %d mean wire group size not > 1"
+              path i)
+        | _ -> ())
+      dist;
     (* E13: incremental view refresh vs. from-scratch recomputation.
        Every row must record the identical fixpoint (which the bench
        itself asserts covers per-node stores and message counts); ring
@@ -192,8 +176,8 @@ let () =
             if churn_num row k <= 0.0 then
               fail "%s: e14 run %d has non-positive %S" path i k)
           [
-            "inserts"; "tuples_per_sec"; "p99_us"; "live_words"; "tuples";
-            "refresh_s"; "refresh_walks";
+            "inserts"; "tuples_per_sec"; "p99_us"; "live_words"; "messages";
+            "tuples"; "refresh_s"; "refresh_walks";
           ];
         (* The refresh share is a proper fraction of the measurement
            window: strictly positive (the churn workload refreshes
@@ -359,9 +343,8 @@ let () =
           [ "unix_time"; "quick"; "host_cores" ])
       history;
     Fmt.pr
-      "%s: ok (%d e7 rows, %d e11 rows, %d e12 rows, %d e13 rows, %d e14 \
+      "%s: ok (%d e7 rows, %d e7 distributed rows, %d e13 rows, %d e14 \
        runs, %d e15 ops, %d e16 runs, %d e17 runs, %d history entries)@."
-      path (List.length sweeps) (List.length batch_sweeps)
-      (List.length inbox_sweeps) (List.length incr_sweeps)
+      path (List.length sweeps) (List.length dist) (List.length incr_sweeps)
       (List.length e14_runs) (List.length e15_ops) (List.length e16_runs)
       (List.length e17_runs) (List.length history)

@@ -11,13 +11,12 @@
      E7 ndlog-scaling             declarative execution efficiency
      E9 softstate-rewrite         cost of the hard-state rewrite
      E10 model-checking           transition systems + counterexamples
-     E11 batched-deltas           group-at-a-time delta joins
 
    Usage:
      dune exec bench/main.exe               # run everything
      dune exec bench/main.exe e3 e7         # selected experiments
      dune exec bench/main.exe quick         # skip the slowest sweeps
-     dune exec bench/main.exe e7 e11 json   # also write BENCH_ndlog.json
+     dune exec bench/main.exe e7 e13 json   # also write BENCH_ndlog.json
 
    Timing columns come from Bechamel (monotonic clock, OLS estimate per
    run); coarse one-shot times use Unix.gettimeofday (true wall
@@ -469,180 +468,94 @@ let e6 () =
   | Error e -> Fmt.pr "property FAILED: %s@." e
 
 (* ------------------------------------------------------------------ *)
-(* E7: NDlog execution scaling. *)
+(* E7: NDlog execution scaling.
 
-(* One E7 sweep point: semi-naive with the index layer on vs. off (the
-   pre-index nested-loop engine: full scans, source-order bodies). *)
-type sweep_row = {
-  sw_prog : string;
-  sw_topo : string;
-  sw_n : int;  (* parameter: ring size or grid side *)
-  sw_nodes : int;
-  sw_tuples : int;  (* fixpoint database size *)
-  sw_rounds : int;
-  sw_idx_ms : float;
-  sw_base_ms : float;
-  sw_hits : int;  (* indexed run: joins answered from an index *)
-  sw_scans : int;  (* indexed run: joins that still scanned *)
-  sw_enum_idx : int;  (* tuples enumerated, indexed run *)
-  sw_enum_base : int;  (* tuples enumerated, baseline run *)
-  sw_same : bool;  (* identical fixpoint, rounds, convergence *)
-}
+   Centralized points run the engine (index-aware, most-bound-first,
+   group-at-a-time semi-naive) and report its join profile; distributed
+   points run the same programs through the runtime (inbox-batched
+   deliveries, group-at-a-time strands) and report the wire path's.
+   The retired A/B arms — the pre-index nested-loop engine, per-tuple
+   delta joins (former E11) and per-message deliveries (former E12) —
+   survive as absolute gates: no point may enumerate more tuples than
+   the last ledger that measured them recorded ([e7_points]); on rings
+   of 8 and more the mean wire delta group must exceed one; and every
+   distributed fixpoint must equal centralized [Eval]'s. *)
 
-let sw_speedup r = r.sw_base_ms /. Float.max 1e-6 r.sw_idx_ms
+(* E7 declares each row once, as its ledger fields in order: the text
+   tables and the JSON both read them. *)
+type row = (string * Json.t) list
 
-(* Time one semi-naive fixpoint with the engine switches set.  Each
-   outcome carries its own per-run counters, so no global reset is
-   needed between runs. *)
-let timed_seminaive ~optimized p info db =
-  Ndlog.Eval.use_indexes := optimized;
-  Ndlog.Eval.use_reordering := optimized;
-  let o, t = wall (fun () -> Ndlog.Eval.seminaive p info db) in
-  Ndlog.Eval.use_indexes := true;
-  Ndlog.Eval.use_reordering := true;
-  (o, t, o.Ndlog.Eval.stats)
+let num (r : row) k =
+  match List.assoc k r with
+  | Json.Int n -> float_of_int n
+  | Json.Float f -> f
+  | _ -> invalid_arg ("E7 row field " ^ k)
 
-let sweep_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
-    sweep_row =
-  let info = Ndlog.Analysis.analyze_exn p in
-  let db = Ndlog.Store.of_facts p.Ndlog.Ast.facts in
-  let base, t_base, st_base = timed_seminaive ~optimized:false p info db in
-  let idx, t_idx, st_idx = timed_seminaive ~optimized:true p info db in
-  {
-    sw_prog = prog_name;
-    sw_topo = topo_name;
-    sw_n = n;
-    sw_nodes = nodes;
-    sw_tuples = Ndlog.Store.total_tuples idx.Ndlog.Eval.db;
-    sw_rounds = idx.Ndlog.Eval.rounds;
-    sw_idx_ms = t_idx *. 1e3;
-    sw_base_ms = t_base *. 1e3;
-    sw_hits = st_idx.Ndlog.Eval.index_hits;
-    sw_scans = st_idx.Ndlog.Eval.scans;
-    sw_enum_idx = st_idx.Ndlog.Eval.enumerated;
-    sw_enum_base = st_base.Ndlog.Eval.enumerated;
-    sw_same =
-      Ndlog.Store.equal base.Ndlog.Eval.db idx.Ndlog.Eval.db
-      && base.Ndlog.Eval.rounds = idx.Ndlog.Eval.rounds
-      && base.Ndlog.Eval.converged = idx.Ndlog.Eval.converged;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* E11 sweep machinery: semi-naive with batched delta joins on vs. off
-   (the per-tuple delta path), over the E7 topologies.  Both runs keep
-   the index layer and body reordering on, so the column isolates the
-   batching itself. *)
-
-type batch_row = {
-  bt_prog : string;
-  bt_topo : string;
-  bt_n : int;
-  bt_nodes : int;
-  bt_tuples : int;  (* fixpoint database size *)
-  bt_rounds : int;
-  bt_batched_ms : float;
-  bt_per_tuple_ms : float;
-  bt_groups : int;  (* batched run: delta groups joined *)
-  bt_group_probes : int;  (* batched run: rule-delta applications *)
-  bt_enum_batched : int;  (* tuples enumerated, batched run *)
-  bt_enum_per_tuple : int;  (* tuples enumerated, per-tuple run *)
-  bt_same : bool;  (* identical fixpoint, rounds, derivations *)
-}
-
-let bt_speedup r = r.bt_per_tuple_ms /. Float.max 1e-6 r.bt_batched_ms
-
-(* Fraction of the per-tuple run's enumerations the batched run avoids. *)
-let bt_enum_saved r =
-  if r.bt_enum_per_tuple = 0 then 0.0
-  else
-    100.
-    *. float_of_int (r.bt_enum_per_tuple - r.bt_enum_batched)
-    /. float_of_int r.bt_enum_per_tuple
-
-let timed_batched ~batched p info db =
-  Ndlog.Eval.use_batching := batched;
-  let o, t = wall (fun () -> Ndlog.Eval.seminaive p info db) in
-  Ndlog.Eval.use_batching := true;
-  (o, t, o.Ndlog.Eval.stats)
-
-let batched_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
-    batch_row =
-  let info = Ndlog.Analysis.analyze_exn p in
-  let db = Ndlog.Store.of_facts p.Ndlog.Ast.facts in
-  let per, t_per, st_per = timed_batched ~batched:false p info db in
-  let bat, t_bat, st_bat = timed_batched ~batched:true p info db in
-  let same =
-    Ndlog.Store.equal per.Ndlog.Eval.db bat.Ndlog.Eval.db
-    && per.Ndlog.Eval.rounds = bat.Ndlog.Eval.rounds
-    && per.Ndlog.Eval.converged = bat.Ndlog.Eval.converged
-    && per.Ndlog.Eval.derivations = bat.Ndlog.Eval.derivations
+let field_table keys (rows : row list) =
+  let cell = function
+    | Json.Str s -> s
+    | Json.Int n -> string_of_int n
+    | Json.Float f -> Fmt.str "%.2f" f
+    | Json.Bool b -> string_of_bool b
+    | _ -> "-"
   in
-  (* Both claims are part of the benchmark and fail the run (and the
-     bench-smoke alias) loudly: the batched fixpoint must be identical,
-     and batching must strictly reduce enumeration on every point. *)
-  if not same then
+  table keys (List.map (fun r -> List.map (fun k -> cell (List.assoc k r)) keys) rows)
+
+(* The E7 points, declared once: (program, topology, n), node count,
+   and the enumeration bounds (centralized, wire) — the batched
+   engine's counts in the last ledger that still ran the A/B arms
+   (BENCH_ndlog.json schema 12: [e7.enumerated_indexed] and
+   [e12.enumerated_batched]).  Points with a wire bound also run
+   distributed; [quick] keeps the points of at most 16 nodes. *)
+let e7_points =
+  let pv n c w = (("path-vector", "ring", n), n, c, w)
+  and reach k c w = (("reachability", "grid", k), k * k, c, w) in
+  [
+    pv 4 116 (Some 72); pv 8 488 (Some 272); pv 16 2000 (Some 1056);
+    pv 24 4536 (Some 2352); pv 32 8096 None; reach 3 181 (Some 229);
+    reach 4 536 (Some 632); reach 5 1201 None;
+  ]
+
+let e7_input (prog, _, n) =
+  match prog with
+  | "path-vector" -> (Ndlog.Programs.path_vector (), Ndlog.Programs.ring_links n)
+  | _ -> (Ndlog.Programs.reachability (), Ndlog.Programs.grid_links n)
+
+(* The identifying fields of a point's row, after checking [enumerated]
+   against the point's recorded bound. *)
+let point_fields (prog, topo, n) ~nodes ~bound enumerated =
+  if enumerated > bound then
     failwith
-      (Fmt.str "E11 %s/%s %d: batched fixpoint diverged from per-tuple"
-         prog_name topo_name n);
-  if st_bat.Ndlog.Eval.enumerated >= st_per.Ndlog.Eval.enumerated then
-    failwith
-      (Fmt.str
-         "E11 %s/%s %d: batching did not reduce enumeration (%d >= %d)"
-         prog_name topo_name n st_bat.Ndlog.Eval.enumerated
-         st_per.Ndlog.Eval.enumerated);
-  {
-    bt_prog = prog_name;
-    bt_topo = topo_name;
-    bt_n = n;
-    bt_nodes = nodes;
-    bt_tuples = Ndlog.Store.total_tuples bat.Ndlog.Eval.db;
-    bt_rounds = bat.Ndlog.Eval.rounds;
-    bt_batched_ms = t_bat *. 1e3;
-    bt_per_tuple_ms = t_per *. 1e3;
-    bt_groups = st_bat.Ndlog.Eval.groups;
-    bt_group_probes = st_bat.Ndlog.Eval.group_probes;
-    bt_enum_batched = st_bat.Ndlog.Eval.enumerated;
-    bt_enum_per_tuple = st_per.Ndlog.Eval.enumerated;
-    bt_same = same;
-  }
+      (Fmt.str "E7 %s/%s %d: enumeration %d exceeds the recorded %d" prog topo
+         n enumerated bound);
+  [
+    ("program", Json.Str prog);
+    ("topology", Json.Str topo);
+    ("n", Json.Int n);
+    ("nodes", Json.Int nodes);
+  ]
 
-(* ------------------------------------------------------------------ *)
-(* E12 sweep machinery: the distributed runtime's inbox batching on
-   vs. off (the per-message baseline).  Where E11 measures batched
-   delta joins inside one evaluator, E12 measures the same
-   group-at-a-time savings on the wire path: all message deliveries
-   landing at a node at the same simulated instant flush as one
-   per-predicate delta. *)
-
-type inbox_row = {
-  ib_prog : string;
-  ib_topo : string;
-  ib_n : int;
-  ib_nodes : int;
-  ib_tuples : int;  (* global fixpoint database size *)
-  ib_msgs : int;  (* messages sent (identical in both modes) *)
-  ib_batched_ms : float;
-  ib_per_msg_ms : float;
-  ib_groups : int;  (* batched run, wire path: delta groups joined *)
-  ib_delta : int;  (* batched run, wire path: delta tuples fed *)
-  ib_enum_batched : int;  (* wire-path tuples enumerated, batched *)
-  ib_enum_per_msg : int;  (* wire-path tuples enumerated, per-message *)
-  ib_same : bool;  (* identical global fixpoint and insert count *)
-}
-
-let ib_speedup r = r.ib_per_msg_ms /. Float.max 1e-6 r.ib_batched_ms
-
-(* Mean number of delta tuples each wire-path strand activation
-   carried; 1.0 is the per-message baseline by construction. *)
-let ib_mean_group r =
-  float_of_int r.ib_delta /. float_of_int (max 1 r.ib_groups)
-
-let ib_enum_saved r =
-  if r.ib_enum_per_msg = 0 then 0.0
-  else
-    100.
-    *. float_of_int (r.ib_enum_per_msg - r.ib_enum_batched)
-    /. float_of_int r.ib_enum_per_msg
+let sweep_point key ~nodes ~bound : row =
+  let prog, links = e7_input key in
+  let p = Ndlog.Programs.with_links prog links in
+  let info = Ndlog.Analysis.analyze_exn p in
+  let db = Ndlog.Store.of_facts p.Ndlog.Ast.facts in
+  let o, t = wall (fun () -> Ndlog.Eval.seminaive p info db) in
+  let st = o.Ndlog.Eval.stats in
+  Ndlog.Eval.(
+    point_fields key ~nodes ~bound st.enumerated
+    @ [
+        ("tuples", Json.Int (Ndlog.Store.total_tuples o.db));
+        ("rounds", Json.Int o.rounds);
+        ("eval_ms", Json.Float (t *. 1e3));
+        ("index_hits", Json.Int st.index_hits);
+        ("scans", Json.Int st.scans);
+        ("enumerated", Json.Int st.enumerated);
+        ("enumerated_bound", Json.Int bound);
+        ("groups", Json.Int st.groups);
+        ("group_probes", Json.Int st.group_probes);
+        ("delta_tuples", Json.Int st.delta_tuples);
+      ])
 
 let topo_of_link_facts links =
   let t = Netsim.Topology.create () in
@@ -656,76 +569,57 @@ let topo_of_link_facts links =
     links;
   t
 
-let inbox_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : inbox_row =
+let dist_point ((prog_name, topo_name, n) as key) ~nodes ~bound : row =
+  let prog, links = e7_input key in
+  let full = Ndlog.Programs.with_links prog links in
   let loc =
-    match
-      Ndlog.Localize.rewrite_program (Ndlog.Programs.with_links prog links)
-    with
+    match Ndlog.Localize.rewrite_program full with
     | Ok r -> r.Ndlog.Localize.program
     | Error _ -> assert false
   in
-  let go ~batch_inbox =
-    let rt = Dist.Runtime.create ~batch_inbox (topo_of_link_facts links) loc in
-    Dist.Runtime.load_facts rt;
-    let report, t = wall (fun () -> Dist.Runtime.run rt) in
-    (rt, report, t)
-  in
-  let rt_b, rep_b, t_b = go ~batch_inbox:true in
-  let rt_p, rep_p, t_p = go ~batch_inbox:false in
+  let rt = Dist.Runtime.create (topo_of_link_facts links) loc in
+  Dist.Runtime.load_facts rt;
+  let report, t = wall (fun () -> Dist.Runtime.run rt) in
+  let global = Dist.Runtime.global_store rt in
+  let central = (Ndlog.Eval.run_exn full).Ndlog.Eval.db in
   let same =
-    rep_b.Dist.Runtime.stats.Netsim.Sim.quiesced
-    && rep_p.Dist.Runtime.stats.Netsim.Sim.quiesced
-    && Ndlog.Store.equal
-         (Dist.Runtime.global_store rt_b)
-         (Dist.Runtime.global_store rt_p)
-    && rep_b.Dist.Runtime.total_inserts = rep_p.Dist.Runtime.total_inserts
+    report.Dist.Runtime.stats.Netsim.Sim.quiesced
     && List.for_all
-         (fun nm ->
-           Ndlog.Store.equal
-             (Dist.Runtime.node_store rt_b nm)
-             (Dist.Runtime.node_store rt_p nm))
-         (Netsim.Topology.nodes (topo_of_link_facts links))
+         (fun (r : Ndlog.Ast.rule) ->
+           let pred = r.Ndlog.Ast.head.Ndlog.Ast.head_pred in
+           Ndlog.Store.Tset.equal
+             (Ndlog.Store.relation pred central)
+             (Ndlog.Store.relation pred global))
+         full.Ndlog.Ast.rules
   in
   (* The equivalence claim is part of the benchmark: a divergence fails
      the run (and the bench-smoke alias) loudly. *)
   if not same then
     failwith
-      (Fmt.str "E12 %s/%s %d: batched inbox diverged from per-message"
+      (Fmt.str "E7 %s/%s %d: distributed fixpoint differs from centralized"
          prog_name topo_name n);
-  let wb = rep_b.Dist.Runtime.wire_stats in
-  let wp = rep_p.Dist.Runtime.wire_stats in
-  (* On the big rings the batching claim itself is asserted: flushes
-     must actually coalesce deliveries (mean group > 1) and strictly
-     reduce wire-path enumeration. *)
-  if strict then begin
-    if wb.Ndlog.Eval.delta_tuples <= wb.Ndlog.Eval.groups then
-      failwith
-        (Fmt.str "E12 %s/%s %d: mean wire delta-group size not > 1 (%d/%d)"
-           prog_name topo_name n wb.Ndlog.Eval.delta_tuples
-           wb.Ndlog.Eval.groups);
-    if wb.Ndlog.Eval.enumerated >= wp.Ndlog.Eval.enumerated then
-      failwith
-        (Fmt.str
-           "E12 %s/%s %d: inbox batching did not reduce wire enumeration (%d \
-            >= %d)"
-           prog_name topo_name n wb.Ndlog.Eval.enumerated
-           wp.Ndlog.Eval.enumerated)
-  end;
-  {
-    ib_prog = prog_name;
-    ib_topo = topo_name;
-    ib_n = n;
-    ib_nodes = nodes;
-    ib_tuples = Ndlog.Store.total_tuples (Dist.Runtime.global_store rt_b);
-    ib_msgs = rep_b.Dist.Runtime.stats.Netsim.Sim.messages_sent;
-    ib_batched_ms = t_b *. 1e3;
-    ib_per_msg_ms = t_p *. 1e3;
-    ib_groups = wb.Ndlog.Eval.groups;
-    ib_delta = wb.Ndlog.Eval.delta_tuples;
-    ib_enum_batched = wb.Ndlog.Eval.enumerated;
-    ib_enum_per_msg = wp.Ndlog.Eval.enumerated;
-    ib_same = same;
-  }
+  let w = report.Dist.Runtime.wire_stats in
+  let groups = w.Ndlog.Eval.groups and delta = w.Ndlog.Eval.delta_tuples in
+  (* On the big rings flushes must actually coalesce deliveries. *)
+  if topo_name = "ring" && n >= 8 && delta <= groups then
+    failwith
+      (Fmt.str "E7 %s/%s %d: mean wire delta-group size not > 1 (%d/%d)"
+         prog_name topo_name n delta groups);
+  point_fields key ~nodes ~bound w.Ndlog.Eval.enumerated
+  @ [
+      ("tuples", Json.Int (Ndlog.Store.total_tuples global));
+      ("messages", Json.Int report.Dist.Runtime.stats.Netsim.Sim.messages_sent);
+      ("dist_ms", Json.Float (t *. 1e3));
+      ("wire_groups", Json.Int groups);
+      ("wire_delta_tuples", Json.Int delta);
+      (* the mean number of delta tuples each wire-path strand activation
+         carried *)
+      ( "mean_group_size",
+        Json.Float (float_of_int delta /. float_of_int (max 1 groups)) );
+      ("enumerated", Json.Int w.Ndlog.Eval.enumerated);
+      ("enumerated_bound", Json.Int bound);
+      ("same_fixpoint", Json.Bool same);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E13 machinery: incremental view refresh vs. from-scratch in the
@@ -899,7 +793,7 @@ type churn_row = {
   ch_live_words : int;  (* Gc live words after the run (post full major) *)
   ch_heap_words : int;  (* Gc.quick_stat heap words *)
   ch_interned : int;  (* intern table population at end of run *)
-  ch_msgs : int;  (* simulator messages sent over the whole run *)
+  ch_msgs : int;  (* messages sent in the window *)
   ch_tuples : int;  (* live global store size at cut-off *)
   ch_refresh_s : float;  (* wall spent in view-refresh walks (window) *)
   ch_refresh_walks : int;  (* refresh walks in the window *)
@@ -975,14 +869,27 @@ let churn_run ~n ~events ~warmup ~lifetime ~dt =
     | Ok r -> r.Ndlog.Localize.program
     | Error _ -> assert false
   in
-  let rt = Dist.Runtime.create (topo_of_link_facts links) loc in
+  (* Count sends at the transport: an [insert] ships before the next
+     [run ~until] starts, so the per-run reports would miss those. *)
+  let msgs = ref 0 in
+  let topo = topo_of_link_facts links in
+  let transport =
+    let tr = Dist.Transport.of_sim (Netsim.Sim.create ~seed:42 topo) in
+    {
+      tr with
+      Dist.Transport.send =
+        (fun ~src ~dst m ->
+          incr msgs;
+          tr.Dist.Transport.send ~src ~dst m);
+    }
+  in
+  let rt = Dist.Runtime.create ~transport topo loc in
   Dist.Runtime.load_facts rt;
   Gc.full_major ();
   let live_start = (Gc.stat ()).Gc.live_words in
   let nd i = Ndlog.Programs.node (i mod n) in
   let samples = Array.make events 0.0 in
   let last = ref None in
-  let sim_events = ref 0 in
   let warm_inserts = ref 0 and warm_msgs = ref 0 and warm_wall = ref 0.0 in
   let warm_refresh_s = ref 0.0 and warm_refresh_walks = ref 0 in
   let t_start = Unix.gettimeofday () in
@@ -1031,11 +938,10 @@ let churn_run ~n ~events ~warmup ~lifetime ~dt =
           |]);
     let rep = Dist.Runtime.run rt ~until:t_sim in
     last := Some rep;
-    sim_events := !sim_events + rep.Dist.Runtime.stats.Netsim.Sim.events;
     samples.(e) <- Unix.gettimeofday () -. t0;
     if e + 1 = warmup then begin
       warm_inserts := rep.Dist.Runtime.total_inserts;
-      warm_msgs := rep.Dist.Runtime.stats.Netsim.Sim.messages_sent;
+      warm_msgs := !msgs;
       warm_wall := Unix.gettimeofday () -. t_start;
       warm_refresh_s := Dist.Runtime.refresh_seconds rt;
       warm_refresh_walks := Dist.Runtime.refresh_walks rt
@@ -1076,7 +982,7 @@ let churn_run ~n ~events ~warmup ~lifetime ~dt =
       ch_live_words = live_words;
       ch_heap_words = heap_words;
       ch_interned = Ndlog.Intern.size ();
-      ch_msgs = rep.Dist.Runtime.stats.Netsim.Sim.messages_sent;
+      ch_msgs = !msgs - !warm_msgs;
       ch_tuples =
         Ndlog.Store.total_tuples (Dist.Runtime.global_store rt);
       ch_refresh_s = Dist.Runtime.refresh_seconds rt -. !warm_refresh_s;
@@ -1174,17 +1080,16 @@ let churn_point ~n ~events ~reps : churn_row * string =
            tuples));
   (row, digest)
 
-(* The machine-readable ledger (BENCH_ndlog.json, schema 12).
-   E7, E11–E17 stash their sweep rows here; the harness emits one
+(* The machine-readable ledger (BENCH_ndlog.json, schema 13).
+   E7, E13–E17 stash their sweep rows here; the harness emits one
    document at the end of the run.  The previous ledger's run history is
    carried forward and the finished run appended, so the committed file
    records how the numbers moved across regenerations. *)
 
 let json_out = ref false
 let bench_json_path = "BENCH_ndlog.json"
-let e7_sweeps : sweep_row list ref = ref []
-let e11_rows : batch_row list ref = ref []
-let e12_rows : inbox_row list ref = ref []
+let e7_sweeps : row list ref = ref []
+let e7_dist : row list ref = ref []
 let e13_rows : incr_row list ref = ref []
 let e14_result : (churn_row * string) option ref = ref None
 
@@ -1255,91 +1160,28 @@ let online_cores () =
     max 1 n
 
 let emit_bench_json () =
-  let e7_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.sw_prog);
-        ("topology", Json.Str r.sw_topo);
-        ("n", Json.Int r.sw_n);
-        ("nodes", Json.Int r.sw_nodes);
-        ("tuples", Json.Int r.sw_tuples);
-        ("rounds", Json.Int r.sw_rounds);
-        ("indexed_ms", Json.Float r.sw_idx_ms);
-        ("baseline_ms", Json.Float r.sw_base_ms);
-        ("speedup", Json.Float (sw_speedup r));
-        ("index_hits", Json.Int r.sw_hits);
-        ("scans", Json.Int r.sw_scans);
-        ("enumerated_indexed", Json.Int r.sw_enum_idx);
-        ("enumerated_baseline", Json.Int r.sw_enum_base);
-        ("same_fixpoint", Json.Bool r.sw_same);
-      ]
+  let largest_ms =
+    match
+      List.sort (fun a b -> compare (num b "nodes") (num a "nodes")) !e7_sweeps
+    with
+    | r :: _ -> List.assoc "eval_ms" r
+    | [] -> Json.Null
   in
-  let e11_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.bt_prog);
-        ("topology", Json.Str r.bt_topo);
-        ("n", Json.Int r.bt_n);
-        ("nodes", Json.Int r.bt_nodes);
-        ("tuples", Json.Int r.bt_tuples);
-        ("rounds", Json.Int r.bt_rounds);
-        ("batched_ms", Json.Float r.bt_batched_ms);
-        ("per_tuple_ms", Json.Float r.bt_per_tuple_ms);
-        ("speedup", Json.Float (bt_speedup r));
-        ("groups", Json.Int r.bt_groups);
-        ("group_probes", Json.Int r.bt_group_probes);
-        ("enumerated_batched", Json.Int r.bt_enum_batched);
-        ("enumerated_per_tuple", Json.Int r.bt_enum_per_tuple);
-        ("enum_saved_pct", Json.Float (bt_enum_saved r));
-        ("enum_reduced", Json.Bool (r.bt_enum_batched < r.bt_enum_per_tuple));
-        ("same_fixpoint", Json.Bool r.bt_same);
-      ]
-  in
-  let e12_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.ib_prog);
-        ("topology", Json.Str r.ib_topo);
-        ("n", Json.Int r.ib_n);
-        ("nodes", Json.Int r.ib_nodes);
-        ("tuples", Json.Int r.ib_tuples);
-        ("messages", Json.Int r.ib_msgs);
-        ("batched_ms", Json.Float r.ib_batched_ms);
-        ("per_message_ms", Json.Float r.ib_per_msg_ms);
-        ("speedup", Json.Float (ib_speedup r));
-        ("wire_groups", Json.Int r.ib_groups);
-        ("wire_delta_tuples", Json.Int r.ib_delta);
-        ("mean_group_size", Json.Float (ib_mean_group r));
-        ("enumerated_batched", Json.Int r.ib_enum_batched);
-        ("enumerated_per_message", Json.Int r.ib_enum_per_msg);
-        ("enum_saved_pct", Json.Float (ib_enum_saved r));
-        ("enum_reduced", Json.Bool (r.ib_enum_batched < r.ib_enum_per_msg));
-        ("same_fixpoint", Json.Bool r.ib_same);
-      ]
-  in
-  let largest =
-    List.fold_left
-      (fun acc r -> match acc with
-        | Some best when best.sw_nodes >= r.sw_nodes -> acc
-        | _ -> Some r)
-      None !e7_sweeps
-  in
-  let largest_speedup =
-    match largest with Some r -> Json.Float (sw_speedup r) | None -> Json.Null
-  in
-  let e11_max_saved =
-    match !e11_rows with
+  let e7_max_mean_group =
+    match !e7_dist with
     | [] -> Json.Null
     | rows ->
       Json.Float
-        (List.fold_left (fun acc r -> Float.max acc (bt_enum_saved r)) 0.0 rows)
+        (List.fold_left
+           (fun acc r -> Float.max acc (num r "mean_group_size"))
+           0.0 rows)
   in
-  let e11_all_reduced =
-    match !e11_rows with
+  let e7_all_same =
+    match !e7_dist with
     | [] -> Json.Null
     | rows ->
       Json.Bool
-        (List.for_all (fun r -> r.bt_enum_batched < r.bt_enum_per_tuple) rows)
+        (List.for_all (fun r -> List.assoc "same_fixpoint" r = Json.Bool true) rows)
   in
   let e13_row r =
     Json.Obj
@@ -1361,18 +1203,6 @@ let emit_bench_json () =
         ("enum_reduced", Json.Bool (r.iv_enum_incr < r.iv_enum_scratch));
         ("same_fixpoint", Json.Bool r.iv_same);
       ]
-  in
-  let e12_max_mean_group =
-    match !e12_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Float
-        (List.fold_left (fun acc r -> Float.max acc (ib_mean_group r)) 0.0 rows)
-  in
-  let e12_all_same =
-    match !e12_rows with
-    | [] -> Json.Null
-    | rows -> Json.Bool (List.for_all (fun r -> r.ib_same) rows)
   in
   let e13_total_skipped =
     match !e13_rows with
@@ -1547,11 +1377,9 @@ let emit_bench_json () =
         ("quick", Json.Bool !quick);
         ("host_cores", Json.Int host_cores);
         ("e7_rows", Json.Int (List.length !e7_sweeps));
-        ("e7_largest_topology_speedup", largest_speedup);
-        ("e11_rows", Json.Int (List.length !e11_rows));
-        ("e11_max_enum_saved_pct", e11_max_saved);
-        ("e12_rows", Json.Int (List.length !e12_rows));
-        ("e12_max_mean_group_size", e12_max_mean_group);
+        ("e7_distributed_rows", Json.Int (List.length !e7_dist));
+        ("e7_largest_topology_ms", largest_ms);
+        ("e7_max_mean_group_size", e7_max_mean_group);
         ("e13_rows", Json.Int (List.length !e13_rows));
         ("e13_total_strata_skipped", e13_total_skipped);
         ("e14_rows", Json.Int (if !e14_result = None then 0 else 1));
@@ -1572,29 +1400,19 @@ let emit_bench_json () =
   Json.to_file bench_json_path
     (Json.Obj
        [
-         ("schema", Json.Int 12);
+         ("schema", Json.Int 13);
          ("quick", Json.Bool !quick);
          ("host_cores", Json.Int host_cores);
          ("unix_time", Json.Int now);
          ( "e7",
            Json.Obj
              [
-               ("largest_topology_speedup", largest_speedup);
-               ("sweeps", Json.Arr (List.map e7_row !e7_sweeps));
-             ] );
-         ( "e11",
-           Json.Obj
-             [
-               ("all_enum_reduced", e11_all_reduced);
-               ("max_enum_saved_pct", e11_max_saved);
-               ("sweeps", Json.Arr (List.map e11_row !e11_rows));
-             ] );
-         ( "e12",
-           Json.Obj
-             [
-               ("all_same_fixpoint", e12_all_same);
-               ("max_mean_group_size", e12_max_mean_group);
-               ("sweeps", Json.Arr (List.map e12_row !e12_rows));
+               ("largest_topology_ms", largest_ms);
+               ("all_same_fixpoint", e7_all_same);
+               ("max_mean_group_size", e7_max_mean_group);
+               ("sweeps", Json.Arr (List.map (fun r -> Json.Obj r) !e7_sweeps));
+               ( "distributed",
+                 Json.Arr (List.map (fun r -> Json.Obj r) !e7_dist) );
              ] );
          ( "e13",
            Json.Obj
@@ -1657,77 +1475,42 @@ let e7 () =
   banner "e7" "declarative execution performance"
     "declarative networks perform efficiently relative to imperative \
      implementations";
-  let ring_sizes = if !quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24; 32 ] in
-  let grid_sides = if !quick then [ 3; 4 ] else [ 3; 4; 5 ] in
+  let points =
+    List.filter (fun (_, nodes, _, _) -> (not !quick) || nodes <= 16) e7_points
+  in
   let sweeps =
-    List.map
-      (fun n ->
-        sweep_point ~prog_name:"path-vector" ~topo_name:"ring" ~n ~nodes:n
-          (Ndlog.Programs.with_links
-             (Ndlog.Programs.path_vector ())
-             (Ndlog.Programs.ring_links n)))
-      ring_sizes
-    @ List.map
-        (fun k ->
-          sweep_point ~prog_name:"reachability" ~topo_name:"grid" ~n:k
-            ~nodes:(k * k)
-            (Ndlog.Programs.with_links
-               (Ndlog.Programs.reachability ())
-               (Ndlog.Programs.grid_links k)))
-        grid_sides
+    List.map (fun (key, nodes, bound, _) -> sweep_point key ~nodes ~bound) points
   in
   e7_sweeps := sweeps;
-  Fmt.pr "semi-naive, index layer on vs. off (pre-index nested-loop \
-          baseline):@.";
-  table
+  Fmt.pr "centralized semi-naive (indexed joins, batched delta joins):@.";
+  field_table
     [
-      "program"; "topology"; "tuples"; "rounds"; "indexed"; "baseline";
-      "speedup"; "idx/scan joins"; "enum idx/base"; "same fixpoint";
+      "program"; "topology"; "n"; "tuples"; "rounds"; "eval_ms"; "index_hits";
+      "scans"; "enumerated"; "enumerated_bound"; "groups"; "group_probes";
     ]
-    (List.map
-       (fun r ->
-         [
-           r.sw_prog;
-           Fmt.str "%s %d" r.sw_topo r.sw_n;
-           string_of_int r.sw_tuples;
-           string_of_int r.sw_rounds;
-           Fmt.str "%.1f ms" r.sw_idx_ms;
-           Fmt.str "%.1f ms" r.sw_base_ms;
-           Fmt.str "%.1fx" (sw_speedup r);
-           Fmt.str "%d/%d" r.sw_hits r.sw_scans;
-           Fmt.str "%d/%d" r.sw_enum_idx r.sw_enum_base;
-           string_of_bool r.sw_same;
-         ])
-       sweeps);
-  (* Distributed execution over the same substrate (strand joins are
-     index-aware too: the report carries the run's join profile). *)
-  Fmt.pr "@.distributed pipelined semi-naive (path-vector):@.";
-  let rows =
-    List.map
-      (fun n ->
-        let p =
-          Ndlog.Programs.with_links
-            (Ndlog.Programs.path_vector ())
-            (Ndlog.Programs.ring_links n)
-        in
-        let loc =
-          match Ndlog.Localize.rewrite_program p with
-          | Ok r -> r.Ndlog.Localize.program
-          | Error _ -> assert false
-        in
-        let rt = Dist.Runtime.create (Netsim.Topology.ring n) loc in
-        Dist.Runtime.load_facts rt;
-        let report, t_dist = wall (fun () -> Dist.Runtime.run rt) in
-        let st = report.Dist.Runtime.eval_stats in
-        [
-          string_of_int n;
-          string_of_int report.Dist.Runtime.stats.Netsim.Sim.messages_sent;
-          Fmt.str "%.1f ms" (t_dist *. 1e3);
-          Fmt.str "%d/%d" st.Ndlog.Eval.index_hits st.Ndlog.Eval.scans;
-        ])
-      (if !quick then [ 4; 8 ] else [ 4; 8; 16 ])
+    sweeps;
+  (* Distributed execution of the same programs: inbox-batched
+     deliveries feed group-at-a-time strands; the wire columns are the
+     strand path's join profile. *)
+  let dist =
+    List.filter_map
+      (fun (key, nodes, _, wire) ->
+        Option.map (fun bound -> dist_point key ~nodes ~bound) wire)
+      points
   in
-  table [ "ring n"; "dist msgs"; "dist time"; "idx/scan joins" ] rows;
+  e7_dist := dist;
+  Fmt.pr "@.distributed pipelined semi-naive (inbox-batched deliveries):@.";
+  field_table
+    [
+      "program"; "topology"; "n"; "tuples"; "messages"; "dist_ms";
+      "wire_delta_tuples"; "wire_groups"; "mean_group_size"; "enumerated";
+      "enumerated_bound"; "same_fixpoint";
+    ]
+    dist;
+  Fmt.pr
+    "asserted per row: enumeration within the recorded bound; distributed \
+     relations equal centralized Eval's; on rings >= 8 a mean wire \
+     delta-group size > 1.@.";
   let p8 =
     Ndlog.Programs.with_links
       (Ndlog.Programs.path_vector ())
@@ -1771,117 +1554,6 @@ let e7 () =
   table
     [ "ring n"; "lsa tuples"; "central time"; "dist msgs"; "dist = central" ]
     rows
-
-(* ------------------------------------------------------------------ *)
-(* E11: batched delta joins. *)
-
-let e11 () =
-  banner "e11" "batched delta joins in semi-naive evaluation"
-    "grouping each round's delta by its join key amortizes index probes \
-     and body setup across tuples";
-  let ring_sizes = if !quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24; 32 ] in
-  let grid_sides = if !quick then [ 3; 4 ] else [ 3; 4; 5 ] in
-  let rows =
-    List.map
-      (fun n ->
-        batched_point ~prog_name:"path-vector" ~topo_name:"ring" ~n ~nodes:n
-          (Ndlog.Programs.with_links
-             (Ndlog.Programs.path_vector ())
-             (Ndlog.Programs.ring_links n)))
-      ring_sizes
-    @ List.map
-        (fun k ->
-          batched_point ~prog_name:"reachability" ~topo_name:"grid" ~n:k
-            ~nodes:(k * k)
-            (Ndlog.Programs.with_links
-               (Ndlog.Programs.reachability ())
-               (Ndlog.Programs.grid_links k)))
-        grid_sides
-  in
-  e11_rows := rows;
-  Fmt.pr
-    "semi-naive, batched delta joins on vs. off (indexes and reordering on \
-     in both):@.";
-  table
-    [
-      "program"; "topology"; "tuples"; "rounds"; "batched"; "per-tuple";
-      "speedup"; "groups/probes"; "enum bat/per"; "enum saved"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           r.bt_prog;
-           Fmt.str "%s %d" r.bt_topo r.bt_n;
-           string_of_int r.bt_tuples;
-           string_of_int r.bt_rounds;
-           Fmt.str "%.1f ms" r.bt_batched_ms;
-           Fmt.str "%.1f ms" r.bt_per_tuple_ms;
-           Fmt.str "%.1fx" (bt_speedup r);
-           Fmt.str "%d/%d" r.bt_groups r.bt_group_probes;
-           Fmt.str "%d/%d" r.bt_enum_batched r.bt_enum_per_tuple;
-           Fmt.str "%.0f%%" (bt_enum_saved r);
-           string_of_bool r.bt_same;
-         ])
-       rows);
-  Fmt.pr
-    "fixpoint equality and a strict enumeration reduction are asserted per \
-     row; groups/probes count grouped joins and rule-delta applications.@."
-
-(* ------------------------------------------------------------------ *)
-(* E12: inbox batching in the distributed runtime. *)
-
-let e12 () =
-  banner "e12" "inbox batching in the distributed runtime"
-    "flushing same-instant message deliveries as one per-predicate delta \
-     carries the batched join's savings onto the wire path";
-  let ring_sizes = if !quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24 ] in
-  let grid_sides = if !quick then [ 3 ] else [ 3; 4 ] in
-  let rows =
-    List.map
-      (fun n ->
-        inbox_point ~prog_name:"path-vector" ~topo_name:"ring" ~n ~nodes:n
-          ~strict:(n >= 8)
-          (Ndlog.Programs.path_vector ())
-          (Ndlog.Programs.ring_links n))
-      ring_sizes
-    @ List.map
-        (fun k ->
-          inbox_point ~prog_name:"reachability" ~topo_name:"grid" ~n:k
-            ~nodes:(k * k) ~strict:false
-            (Ndlog.Programs.reachability ())
-            (Ndlog.Programs.grid_links k))
-        grid_sides
-  in
-  e12_rows := rows;
-  Fmt.pr
-    "distributed pipelined semi-naive, inbox batching on vs. off (per-message \
-     deliveries):@.";
-  table
-    [
-      "program"; "topology"; "tuples"; "msgs"; "batched"; "per-msg"; "speedup";
-      "delta/groups"; "mean group"; "enum bat/per"; "enum saved"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           r.ib_prog;
-           Fmt.str "%s %d" r.ib_topo r.ib_n;
-           string_of_int r.ib_tuples;
-           string_of_int r.ib_msgs;
-           Fmt.str "%.1f ms" r.ib_batched_ms;
-           Fmt.str "%.1f ms" r.ib_per_msg_ms;
-           Fmt.str "%.1fx" (ib_speedup r);
-           Fmt.str "%d/%d" r.ib_delta r.ib_groups;
-           Fmt.str "%.2f" (ib_mean_group r);
-           Fmt.str "%d/%d" r.ib_enum_batched r.ib_enum_per_msg;
-           Fmt.str "%.0f%%" (ib_enum_saved r);
-           string_of_bool r.ib_same;
-         ])
-       rows);
-  Fmt.pr
-    "global fixpoint, per-node stores and insert counts are asserted \
-     identical per row; on rings >= 8 a mean wire delta-group size > 1 and a \
-     strict wire-path enumeration reduction are asserted too.@."
 
 (* ------------------------------------------------------------------ *)
 (* E13: incremental view refresh with dirty-predicate tracking. *)
@@ -2603,8 +2275,8 @@ let a3 () =
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
-    ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17);
+    ("e7", e7); ("e9", e9); ("e10", e10); ("e13", e13); ("e14", e14);
+    ("e15", e15); ("e16", e16); ("e17", e17);
     ("a1", a1); ("a2", a2); ("a3", a3);
   ]
 
@@ -2618,7 +2290,7 @@ let () =
           quick := true;
           false
         | "json" ->
-          (* Emit the machine-readable E7/E11–E17 ledger
+          (* Emit the machine-readable E7, E13–E17 ledger
              (BENCH_ndlog.json). *)
           json_out := true;
           false

@@ -15,8 +15,7 @@
    delivery landing at the same simulated instant drains together and
    each triggered strand runs once with the full per-predicate delta
    (realizing the batched join's group-at-a-time savings on the wire
-   path).  The per-message runtime survives behind [~batch_inbox:false]
-   as the equivalence baseline.
+   path).
 
    Aggregate strata are maintained as local views: whenever the local
    store changes, aggregate rules (and the local rules downstream of
@@ -157,7 +156,6 @@ type t = {
      transport this is every topology node; a multi-process run gives
      each runtime its own subset ([?hosted]). *)
   node_names : string list;
-  batch_inbox : bool;
   (* Predicates computed as refreshed views (aggregate strata and their
      local downstream).  The list keeps program order for deterministic
      iteration; [view_set] is the same collection as a set — membership
@@ -388,7 +386,7 @@ let owner_of_ids (loc : int option) (ids : int array) : string option =
   | Some i when i < Array.length ids -> Some (Value.as_addr (Intern.get ids.(i)))
   | _ -> None
 
-let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
+let rec create ?(seed = 42) ?incremental_views
     ?transport ?hosted (topo : Netsim.Topology.t) (program : Ast.program) : t =
   (match Ndlog.Localize.check_localized program with
   | Ok () -> ()
@@ -474,7 +472,6 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
       transport;
       nodes;
       node_names = List.sort String.compare hosted;
-      batch_inbox;
       view_preds;
       view_set = List.fold_left (fun s p -> Sset.add p s) Sset.empty view_preds;
       view_program;
@@ -489,8 +486,8 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
       refresh_walks = 0;
     }
   in
-  (* Wire the message handler: a received tuple is inserted locally —
-     directly in per-message mode, through the inbox otherwise. *)
+  (* Wire the message handler: a received tuple goes through the
+     node's inbox. *)
   List.iter
     (fun n ->
       t.transport.Transport.set_handler n (fun ~self ~src:_ m ->
@@ -579,24 +576,17 @@ and insert_ids t (self : string) pred (ids : int array)
    all already-enqueued same-time deliveries).  A frame from another
    process carries no ids and pays one translation here. *)
 and receive t (self : string) (m : msg) =
-  if not t.batch_inbox then
-    let ids =
-      match m.ids with Some ids -> ids | None -> Intern.tuple_ids m.tuple
-    in
-    insert_ids t self m.pred ids m.tuple
-  else begin
-    let ns = node t self in
-    ns.inbox <- (m.pred, m.tuple, m.ids) :: ns.inbox;
-    if not ns.flush_scheduled then begin
-      ns.flush_scheduled <- true;
-      t.transport.Transport.schedule ~delay:0.0 (fun () -> flush t self)
-    end
+  let ns = node t self in
+  ns.inbox <- (m.pred, m.tuple, m.ids) :: ns.inbox;
+  if not ns.flush_scheduled then begin
+    ns.flush_scheduled <- true;
+    t.transport.Transport.schedule ~delay:0.0 (fun () -> flush t self)
   end
 
 (* Drain the inbox: process buffered deliveries in arrival order (lease
-   refreshes and insertion bookkeeping see the same sequence the
-   per-message runtime does), then run each triggered strand once with
-   the full per-predicate delta of genuinely-new tuples. *)
+   refreshes and insertion bookkeeping see the order they arrived in),
+   then run each triggered strand once with the full per-predicate
+   delta of genuinely-new tuples. *)
 and flush t (self : string) =
   let ns = node t self in
   ns.flush_scheduled <- false;

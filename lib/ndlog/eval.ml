@@ -18,10 +18,11 @@
    ground positions exist as early as possible.  Aggregate rules whose
    body is a single positive atom over distinct variables are answered
    from a {!Store.groups} grouped index probe instead of enumerating
-   environments.  All optimizations are observable through the per-run
-   {!stats} and can be switched off ([use_indexes], [use_reordering]) —
-   the fixpoint is identical either way, which the test suite checks by
-   property.
+   environments, and semi-naive delta activations join a whole round's
+   delta group-at-a-time.  All optimizations are observable through the
+   per-run {!stats}; the test suite checks the fixpoints, rounds and
+   derivation counts by property against a textbook reference evaluator
+   (source-order nested loops, one activation per delta tuple).
 
    Instrumentation is per run: callers pass a {!counters} accumulator
    (or read the [stats] field of the {!outcome}); there is no global
@@ -36,7 +37,7 @@ module Sset = Set.Make (String)
 exception Eval_error of string
 
 (* ------------------------------------------------------------------ *)
-(* Instrumentation and switches. *)
+(* Instrumentation. *)
 
 type stats = {
   index_hits : int;  (* joins answered from a secondary index *)
@@ -145,10 +146,6 @@ let pp_stats ppf s =
     s.index_hits s.scans s.enumerated s.matched s.groups s.group_probes
     s.delta_tuples s.strata_skipped s.refresh_fallbacks
 
-let use_indexes = ref true
-let use_reordering = ref true
-let use_batching = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Rule application. *)
 
@@ -173,10 +170,10 @@ let ground_positions env (args : Ast.expr list) : (int * Value.t) list =
    an indexed lookup when some argument position is ground, the full
    relation otherwise.  The single source of index-aware candidate
    selection — shared by [body_envs] and the strand executor
-   ({!Plan.execute}). *)
+   ({!Plan.execute}, through [join_envs]). *)
 let candidates_c st (db : Store.t) env pred (args : Ast.expr list) :
     Store.Tset.t =
-  match if !use_indexes then ground_positions env args else [] with
+  match ground_positions env args with
   | [] ->
     st.c_scans <- st.c_scans + 1;
     Store.relation pred db
@@ -199,63 +196,50 @@ let join_envs_c st (db : Store.t) env pred (args : Ast.expr list) : Env.t list =
     []
 
 (* Enumerate all satisfying environments for [body] against [db],
-   starting from [env0] and prepending to [acc].  [delta] optionally
-   replaces the relation read by the body literal at the given index,
-   implementing semi-naive evaluation. *)
-let body_envs_from st (db : Store.t) ?delta env0 (body : Ast.lit list) acc :
+   starting from [env0] and prepending to [acc]. *)
+let body_envs_from st (db : Store.t) env0 (body : Ast.lit list) acc :
     Env.t list =
-  let rec go env idx lits acc =
+  let rec go env lits acc =
     match lits with
     | [] -> env :: acc
     | lit :: rest -> (
       match lit with
       | Ast.Pos a ->
-        let rel =
-          match delta with
-          | Some (j, d) when j = idx ->
-            st.c_scans <- st.c_scans + 1;
-            d
-          | _ -> candidates_c st db env a.pred a.args
-        in
         Store.Tset.fold
           (fun tuple acc ->
             st.c_enumerated <- st.c_enumerated + 1;
             match Env.match_args env a.args tuple with
             | Some env' ->
               st.c_matched <- st.c_matched + 1;
-              go env' (idx + 1) rest acc
+              go env' rest acc
             | None -> acc)
-          rel acc
+          (candidates_c st db env a.pred a.args)
+          acc
       | Ast.Neg a ->
         let tuple =
           Array.of_list (List.map (Env.eval env) a.args)
         in
-        if Store.mem a.pred tuple db then acc
-        else go env (idx + 1) rest acc
+        if Store.mem a.pred tuple db then acc else go env rest acc
       | Ast.Assign (x, e) -> (
         let v = Env.eval env e in
         match Env.find_opt x env with
-        | None -> go (Env.bind x v env) (idx + 1) rest acc
-        | Some v' -> if Value.equal v v' then go env (idx + 1) rest acc else acc)
+        | None -> go (Env.bind x v env) rest acc
+        | Some v' -> if Value.equal v v' then go env rest acc else acc)
       | Ast.Cond (c, a, b) ->
         if Env.eval_cmp c (Env.eval env a) (Env.eval env b) then
-          go env (idx + 1) rest acc
+          go env rest acc
         else acc)
   in
-  go env0 0 body acc
+  go env0 body acc
 
-let body_envs_c st db ?delta body = body_envs_from st db ?delta Env.empty body []
+let body_envs_c st db body = body_envs_from st db Env.empty body []
 
 (* Public wrappers: the optional accumulator defaults to a fresh
    throwaway record (the caller did not ask for counts). *)
-let candidates ?(stats = counters ()) db env pred args =
-  candidates_c stats db env pred args
-
 let join_envs ?(stats = counters ()) db env pred args =
   join_envs_c stats db env pred args
 
-let body_envs ?(stats = counters ()) db ?delta body =
-  body_envs_c stats db ?delta body
+let body_envs ?(stats = counters ()) db body = body_envs_c stats db body
 
 (* Instantiate a plain (aggregate-free) head under [env]. *)
 let head_tuple env (h : Ast.head) : Store.Tuple.t =
@@ -348,8 +332,7 @@ let order_body ?(card = fun _ -> 0) ?(bound = Ast.Sset.empty)
       let remaining = List.filter (fun (j, _) -> j <> i) remaining in
       go (Ast.Sset.union bound (lit_vars l)) remaining (l :: acc)
   in
-  if not !use_reordering then body
-  else go bound (List.mapi (fun i l -> (i, l)) body) []
+  go bound (List.mapi (fun i l -> (i, l)) body) []
 
 (* The variables a positive atom binds when it is evaluated first (its
    bare variable arguments). *)
@@ -362,19 +345,20 @@ let atom_binds (a : Ast.atom) : Ast.Sset.t =
 (* ------------------------------------------------------------------ *)
 (* Batched delta joins.
 
-   The per-tuple semi-naive path seeds one environment per delta tuple
+   Textbook semi-naive evaluation seeds one environment per delta tuple
    and replays the whole rest of the body — index probes included — per
-   activation.  The batched path instead groups the round's delta by
+   activation.  The batched join instead groups the round's delta by
    the columns the rest of the body actually reads ([group_vars]), and
    per group runs the probing part of the body once from the group key
    alone ([split_shared]); each delta tuple then only pays a pattern
    match plus the residual filters.  The satisfying-environment set is
-   order-independent for safe rules, so both paths derive exactly the
-   same head tuples the same number of times — checked by property.
+   order-independent for safe rules, so both derive exactly the same
+   head tuples the same number of times — checked by property against
+   the test suite's reference evaluator.
 
    Group-variable choice: a shared positive atom's probe is exactly as
-   ground as on the per-tuple path, because every delta variable a rest
-   positive atom reads is a group variable (bound from the key).
+   ground as in a per-tuple activation, because every delta variable a
+   rest positive atom reads is a group variable (bound from the key).
    Literals that would need other delta variables bind nothing
    (negations, comparisons) and defer to the per-tuple phase freely; an
    assignment defers only when that cannot change a later literal's
@@ -382,7 +366,7 @@ let atom_binds (a : Ast.atom) : Ast.Sset.t =
 
 (* Variables of the delta atom that the rest of the body's positive
    atoms read.  Binding them per group makes every shared-phase index
-   probe exactly as ground as the per-tuple path's. *)
+   probe exactly as ground as a per-tuple activation's. *)
 let group_vars (delta_atom : Ast.atom) (rest : Ast.lit list) : Ast.Sset.t =
   let pos_vars =
     List.fold_left
@@ -416,7 +400,7 @@ let group_cols (delta_atom : Ast.atom) (gvars : Ast.Sset.t) :
    An unschedulable assignment defers only when its target is already
    bound or read by no later literal; otherwise the shared phase stops
    — everything from there on runs per tuple, where the full delta
-   bindings restore the per-tuple path's exact probes. *)
+   bindings restore a per-tuple activation's exact probes. *)
 let split_shared gvars (ordered : Ast.lit list) : Ast.lit list * Ast.lit list
     =
   let rec go bound shared deferred = function
@@ -440,14 +424,16 @@ let split_shared gvars (ordered : Ast.lit list) : Ast.lit list * Ast.lit list
 
 (* Apply one (rule, delta position) pair group-at-a-time.  Per group:
    match the delta pattern against each tuple first (a group with no
-   matching tuple costs no probes — the per-tuple path would have
+   matching tuple costs no probes — a per-tuple activation would have
    rejected exactly those tuples), evaluate the shared literals once
    from the key bindings, then recombine every tuple binding with every
-   shared environment.  {!Env.merge}'s consistency check reproduces the
-   per-tuple path's filter semantics for delta variables constrained by
-   shared literals (e.g. an assignment to a delta variable). *)
-let batched_delta_envs st (db : Store.t) ~card (delta_atom : Ast.atom)
-    (rest : Ast.lit list) (delta_db : Store.t) : Env.t list =
+   shared environment.  {!Env.merge}'s consistency check reproduces a
+   per-tuple activation's filter semantics for delta variables
+   constrained by shared literals (e.g. an assignment to a delta
+   variable).  Also the strand executor's entry ({!Plan.execute_batch}). *)
+let delta_envs ?stats:(st = counters ()) ?(card = fun _ -> 0) (db : Store.t)
+    ~delta:((delta_atom : Ast.atom), (delta_db : Store.t))
+    ~(rest : Ast.lit list) : Env.t list =
   let gvars = group_vars delta_atom rest in
   let cols_vars = group_cols delta_atom gvars in
   let cols = List.map fst cols_vars in
@@ -490,24 +476,6 @@ let batched_delta_envs st (db : Store.t) ~card (delta_atom : Ast.atom)
           acc shared_envs)
     []
     (Store.groups delta_atom.Ast.pred ~cols delta_db)
-
-(* Public entry for the strand executor: all satisfying environments of
-   a rule body against [db] with [delta_atom]'s relation restricted to
-   [delta_db], batched or per-tuple according to [use_batching]. *)
-let delta_envs ?(stats = counters ()) ?(card = fun _ -> 0) db
-    ~delta:((delta_atom : Ast.atom), (delta_db : Store.t)) ~rest : Env.t list
-    =
-  if !use_batching then
-    batched_delta_envs stats db ~card delta_atom rest delta_db
-  else begin
-    let d = Store.relation delta_atom.Ast.pred delta_db in
-    stats.c_delta_tuples <- stats.c_delta_tuples + Store.Tset.cardinal d;
-    let body =
-      Ast.Pos delta_atom
-      :: order_body ~card ~bound:(atom_binds delta_atom) rest
-    in
-    body_envs_c stats db ~delta:(0, d) body
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates. *)
@@ -639,7 +607,7 @@ let apply_agg_rule_indexed st db (a : Ast.atom) (slots : agg_slot list) :
    Single-atom rules take the grouped-index fast path above (same
    output set, one index probe instead of an enumeration). *)
 let apply_agg_rule_c st db (r : Ast.rule) : Store.Tuple.t list =
-  match if !use_indexes then agg_index_shape r else None with
+  match agg_index_shape r with
   | Some (a, slots) -> apply_agg_rule_indexed st db a slots
   | None ->
     let envs =
@@ -725,27 +693,18 @@ let apply_plain_rules st db ?deltas ~rec_preds rules ~count =
         let positions = delta_positions rec_preds r.body in
         List.fold_left
           (fun acc i ->
-            let delta_lit, delta_atom =
+            let delta_atom =
               match List.nth r.body i with
-              | Ast.Pos a as l -> (l, a)
+              | Ast.Pos a -> a
               | _ -> assert false
             in
-            let d = Store.relation delta_atom.Ast.pred delta_db in
-            if Store.Tset.is_empty d then acc
+            if Store.Tset.is_empty (Store.relation delta_atom.Ast.pred delta_db)
+            then acc
             else
               let rest = List.filteri (fun j _ -> j <> i) r.body in
-              if !use_batching then
-                produce acc
-                  (batched_delta_envs st db ~card delta_atom rest delta_db)
-              else begin
-                st.c_delta_tuples <-
-                  st.c_delta_tuples + Store.Tset.cardinal d;
-                let body =
-                  delta_lit
-                  :: order_body ~card ~bound:(atom_binds delta_atom) rest
-                in
-                produce acc (body_envs_c st db ~delta:(0, d) body)
-              end)
+              produce acc
+                (delta_envs ~stats:st ~card db ~delta:(delta_atom, delta_db)
+                   ~rest))
           acc positions)
     Store.empty rules
 
@@ -792,8 +751,8 @@ let eval_stratum_seminaive st db stratum (p : Ast.program) ~max_rounds ~rounds
   in
   loop db delta
 
-(* Evaluate one stratum to fixpoint, naively (for differential testing
-   and the E7 bench). *)
+(* Evaluate one stratum to fixpoint, naively (the textbook baseline,
+   differentially tested against the semi-naive driver). *)
 let eval_stratum_naive st db stratum (p : Ast.program) ~max_rounds ~rounds
     ~count =
   let rules = rules_of_stratum p stratum in

@@ -9,11 +9,14 @@
 
     Joins are index-aware: body literals with ground argument positions
     are answered from {!Store.lookup} secondary indexes, rule bodies
-    are reordered most-bound-first ({!order_body}), and single-atom
+    are reordered most-bound-first ({!order_body}), single-atom
     aggregate rules are answered from a {!Store.groups} grouped index
-    probe; every optimization falls back to the plain nested-loop scan
-    (and can be disabled via {!use_indexes} / {!use_reordering})
-    without changing the fixpoint.
+    probe, and semi-naive delta activations run group-at-a-time
+    ({!delta_envs}).  There is one engine, with no switches: the test
+    suite checks its fixpoints, rounds, derivation counts and
+    convergence against a textbook reference evaluator (source-order
+    nested loops, one activation per delta tuple, aggregates by
+    enumeration).
 
     Instrumentation is per run: every evaluation reports its own join
     counters in [outcome.stats], and callers may pass a {!counters}
@@ -58,7 +61,7 @@ type outcome = {
 
 exception Eval_error of string
 
-(** {1 Instrumentation and switches} *)
+(** {1 Instrumentation} *)
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
@@ -99,26 +102,6 @@ val note_stratum_skipped : counters -> unit
 val note_refresh_fallback : counters -> unit
 (** Count one touched view stratum recomputed from scratch. *)
 
-val use_indexes : bool ref
-(** Consult secondary indexes for ground argument positions and grouped
-    aggregate probes (default [true]).  Off: every join is a full scan
-    — the pre-index nested-loop evaluator. *)
-
-val use_reordering : bool ref
-(** Reorder rule bodies most-bound-first before evaluation (default
-    [true]). *)
-
-val use_batching : bool ref
-(** Join delta activations group-at-a-time (default [true]): each
-    round's delta relation is grouped by the columns the rest of the
-    body reads ({!Store.groups}), the probing part of the body runs
-    once per group, and each delta tuple pays only a pattern match plus
-    the residual filters.  Off: one environment is seeded per delta
-    tuple and the whole body replays per activation.  Both paths derive
-    the same head tuples the same number of times (checked by
-    property); [stats.groups] / [stats.group_probes] count the batched
-    path's work. *)
-
 val order_body :
   ?card:(string -> int) ->
   ?bound:Ast.Sset.t ->
@@ -129,8 +112,7 @@ val order_body :
     scheduled most-bound-first, ties broken by smaller relation
     ([card]) then source order.  [bound] seeds the bound-variable set
     (e.g. with the variables a delta literal binds).  Preserves the
-    satisfying-environment set of any safe rule; identity when
-    {!use_reordering} is off. *)
+    satisfying-environment set of any safe rule. *)
 
 val atom_binds : Ast.atom -> Ast.Sset.t
 (** The variables a positive atom binds when evaluated first (its bare
@@ -174,26 +156,9 @@ val agg_index_shape : Ast.rule -> (Ast.atom * agg_slot list) option
     bare variables and every head argument reads one of them — the
     shape answered by a {!Store.groups} probe. *)
 
-val agg_fold : Ast.agg -> Value.t list -> Value.t
-(** Fold one aggregate over a non-empty group column.
-    @raise Eval_error on an empty group. *)
-
-val candidates :
-  ?stats:counters -> Store.t -> Env.t -> string -> Ast.expr list -> Store.Tset.t
-(** The candidate tuples for matching the arguments against a predicate
-    under an environment: an indexed lookup when some position is
-    ground, the full relation otherwise. *)
-
-val body_envs :
-  ?stats:counters ->
-  Store.t ->
-  ?delta:int * Store.Tset.t ->
-  Ast.lit list ->
-  Env.t list
-(** All satisfying environments for a rule body against a database.
-    [delta] optionally replaces the relation read by the body literal at
-    the given index (semi-naive evaluation); exposed for the distributed
-    runtime and the plan compiler. *)
+val body_envs : ?stats:counters -> Store.t -> Ast.lit list -> Env.t list
+(** All satisfying environments for a rule body against a database, in
+    the body's given literal order. *)
 
 val join_envs :
   ?stats:counters -> Store.t -> Env.t -> string -> Ast.expr list -> Env.t list
@@ -211,9 +176,12 @@ val delta_envs :
 (** All satisfying environments of the body [delta_atom :: rest]
     against [db], with the delta atom's relation read from the supplied
     delta store instead of [db] — the semi-naive activation of one
-    (rule, delta position) pair.  Batched ({!use_batching} on, the
-    default) or per-tuple; both produce the same environment set.
-    Exposed for the strand executor ({!Plan.execute_batch}). *)
+    (rule, delta position) pair, joined group-at-a-time: the delta is
+    grouped by the columns the rest of the body reads ({!Store.groups}),
+    the probing part of the body runs once per group, and each delta
+    tuple pays only a pattern match plus the residual filters.
+    [stats.groups] / [stats.group_probes] count that work.  Exposed for
+    the strand executor ({!Plan.execute_batch}). *)
 
 val head_tuple : Env.t -> Ast.head -> Store.Tuple.t
 (** Instantiate an aggregate-free head under an environment. *)
@@ -245,7 +213,7 @@ val naive :
   Store.t ->
   outcome
 (** Naive evaluation; same fixpoint as {!seminaive} (differentially
-    tested), used as the E7 baseline. *)
+    tested). *)
 
 (** {1 Refresh strata}
 

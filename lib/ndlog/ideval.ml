@@ -174,7 +174,7 @@ let match_pat (env : int array) (pat : iexpr array) (t : int array) : bool =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Candidate selection — the id twin of {!Eval.candidates}. *)
+(* Candidate selection — the id twin of [Eval.candidates_c]. *)
 
 (* The argument positions ground under [env]: constants and bound bare
    variables, in ascending position order (identical to
@@ -195,7 +195,7 @@ let bound_cols (env : int array) (pat : iexpr array) : (int * int) list =
    [candidates_c] would. *)
 let candidates (st : Eval.counters) fdb (env : int array) pred
     (pat : iexpr array) : (int array -> unit) -> unit =
-  match if !Eval.use_indexes then bound_cols env pat else [] with
+  match bound_cols env pat with
   | [] ->
     st.Eval.c_scans <- st.Eval.c_scans + 1;
     fun f -> Fset.iter f (Flat.relation fdb pred)
@@ -211,12 +211,11 @@ let candidates (st : Eval.counters) fdb (env : int array) pred
 
 (* Enumerate the satisfying environments of compiled [steps] starting
    from [env0], prepending frozen copies to [acc] — the twin of
-   [Eval.body_envs_from].  [delta] replaces the relation read by the
-   step at the given index (semi-naive).  The environment flows through
-   per-step scratch buffers: a candidate match blits the incoming
-   bindings and binds in place, so only *satisfying* environments pay an
+   [Eval.body_envs_from].  The environment flows through per-step
+   scratch buffers: a candidate match blits the incoming bindings and
+   binds in place, so only *satisfying* environments pay an
    allocation. *)
-let body_envs_from (st : Eval.counters) fdb ~nslots ?delta (env0 : int array)
+let body_envs_from (st : Eval.counters) fdb ~nslots (env0 : int array)
     (steps : step array) (acc : int array list) : int array list =
   let nsteps = Array.length steps in
   let scratch = Array.init (max nsteps 1) (fun _ -> Array.make nslots (-1)) in
@@ -226,15 +225,8 @@ let body_envs_from (st : Eval.counters) fdb ~nslots ?delta (env0 : int array)
     else
       match steps.(si) with
       | SPos { pred; pat } ->
-        let iterate =
-          match delta with
-          | Some (j, d) when j = si ->
-            st.Eval.c_scans <- st.Eval.c_scans + 1;
-            fun f -> Fset.iter f d
-          | _ -> candidates st fdb env pred pat
-        in
         let buf = scratch.(si) in
-        iterate (fun t ->
+        candidates st fdb env pred pat (fun t ->
             st.Eval.c_enumerated <- st.Eval.c_enumerated + 1;
             Array.blit env 0 buf 0 nslots;
             if match_pat buf pat t then begin
@@ -283,12 +275,12 @@ let merge_env (a : int array) (b : int array) : int array option =
   if go 0 then Some out else None
 
 (* ------------------------------------------------------------------ *)
-(* Batched delta joins — the twin of [Eval.batched_delta_envs]. *)
+(* Batched delta joins — the twin of {!Eval.delta_envs}. *)
 
 (* One compiled (rule, delta position) activation: the batched
-   decomposition and the per-tuple fallback, each a self-contained
-   compilation unit (own slot table, own compiled head). *)
-type bunit = {
+   decomposition, a self-contained compilation unit (own slot table,
+   own compiled head). *)
+type activation = {
   b_cols : int list;  (* delta group columns *)
   b_col_slots : int list;  (* their slots, positionally *)
   b_dpat : iexpr array;  (* delta-atom pattern *)
@@ -297,14 +289,6 @@ type bunit = {
   b_nslots : int;
   b_head : iexpr array;
 }
-
-type punit = {
-  p_steps : step array;  (* delta literal first, then the ordered rest *)
-  p_nslots : int;
-  p_head : iexpr array;
-}
-
-type activation = { act_batched : bunit; act_pertuple : punit }
 
 let compile_activation ~card (rule : Ast.rule) (delta_atom : Ast.atom)
     (rest : Ast.lit list) : activation =
@@ -320,32 +304,24 @@ let compile_activation ~card (rule : Ast.rule) (delta_atom : Ast.atom)
   let b_shared = compile_body bctx shared in
   let b_per_tuple = compile_body bctx per_tuple in
   let b_head = compile_head bctx rule.Ast.head in
-  let pctx = mkctx () in
-  let p_steps =
-    compile_body pctx (Ast.Pos delta_atom :: ordered)
-  in
-  let p_head = compile_head pctx rule.Ast.head in
   {
-    act_batched =
-      {
-        b_cols = List.map fst cols_vars;
-        b_col_slots;
-        b_dpat;
-        b_shared;
-        b_per_tuple;
-        b_nslots = bctx.n;
-        b_head;
-      };
-    act_pertuple = { p_steps; p_nslots = pctx.n; p_head };
+    b_cols = List.map fst cols_vars;
+    b_col_slots;
+    b_dpat;
+    b_shared;
+    b_per_tuple;
+    b_nslots = bctx.n;
+    b_head;
   }
 
-(* All satisfying environments of the batched activation against [fdb]
-   with the delta read from [dset], paired with the compiled head that
-   instantiates them.  Counter bumps mirror [Eval.batched_delta_envs]
-   exactly: one group probe per activation, delta tuples by cardinality,
-   one group per distinct key, enumerated/matched per delta tuple, and
-   the shared/per-tuple phases accounted through [body_envs_from]. *)
-let batched_envs (st : Eval.counters) fdb (b : bunit) (dset : Fset.t) :
+(* All satisfying environments of the activation against [fdb] with
+   the delta read from [dset] — the twin of {!Eval.delta_envs};
+   [b.b_head] instantiates them.  Counter bumps mirror the boxed join
+   exactly: one group probe per activation, delta tuples by
+   cardinality, one group per distinct key, enumerated/matched per
+   delta tuple, and the shared/per-tuple phases accounted through
+   [body_envs_from]. *)
+let delta_envs (st : Eval.counters) fdb (b : activation) (dset : Fset.t) :
     int array list =
   st.Eval.c_group_probes <- st.Eval.c_group_probes + 1;
   st.Eval.c_delta_tuples <- st.Eval.c_delta_tuples + Fset.cardinal dset;
@@ -389,33 +365,13 @@ let batched_envs (st : Eval.counters) fdb (b : bunit) (dset : Fset.t) :
     []
     (Flat.group_set dset ~cols:b.b_cols)
 
-(* The twin of {!Eval.delta_envs}: batched or per-tuple according to
-   {!Eval.use_batching}, returning (environments, compiled head). *)
-let delta_envs (st : Eval.counters) fdb (act : activation) (dset : Fset.t) :
-    int array list * iexpr array =
-  if !Eval.use_batching then
-    (batched_envs st fdb act.act_batched dset, act.act_batched.b_head)
-  else begin
-    st.Eval.c_delta_tuples <- st.Eval.c_delta_tuples + Fset.cardinal dset;
-    let p = act.act_pertuple in
-    let env0 = Array.make p.p_nslots (-1) in
-    ( body_envs_from st fdb ~nslots:p.p_nslots ~delta:(0, dset) env0 p.p_steps
-        [],
-      p.p_head )
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Strand execution — the wire path's twin of {!Plan.execute_batch}. *)
 
 type istrand = {
   is_rule : Ast.rule;
   is_delta_pred : string;
-  is_delta_atom : Ast.atom;
-  is_rest : Ast.lit list;
-  (* Compiled under a use_reordering snapshot; recompiled lazily when
-     the switch changes (the boxed path re-plans every call, so the
-     plans — and hence the counters — stay aligned either way). *)
-  mutable is_cache : (bool * activation) option;
+  is_act : activation;
 }
 
 let head_pred (s : istrand) = s.is_rule.Ast.head.Ast.head_pred
@@ -437,24 +393,13 @@ let of_strand (s : Plan.strand) : istrand =
     {
       is_rule = s.Plan.strand_rule;
       is_delta_pred = delta_atom.Ast.pred;
-      is_delta_atom = delta_atom;
-      is_rest = rest;
-      is_cache = None;
+      (* The strand executor plans without cardinalities
+         ([Plan.execute_batch] defaults [card] to the zero function), so
+         the compiled plan is call-independent: compiled once here. *)
+      is_act =
+        compile_activation ~card:(fun _ -> 0) s.Plan.strand_rule delta_atom
+          rest;
     }
-
-let activation_of (s : istrand) : activation =
-  match s.is_cache with
-  | Some (flag, act) when flag = !Eval.use_reordering -> act
-  | _ ->
-    (* The strand executor plans without cardinalities
-       ([Plan.execute_batch] defaults [card] to the zero function), so
-       the compiled plan is call-independent and cacheable. *)
-    let act =
-      compile_activation ~card:(fun _ -> 0) s.is_rule s.is_delta_atom
-        s.is_rest
-    in
-    s.is_cache <- Some (!Eval.use_reordering, act);
-    act
 
 (* Head id tuples of one strand run over a whole delta batch — the
    twin of {!Plan.execute_batch} (same counters, same multiset of
@@ -466,8 +411,9 @@ let execute_batch ?(stats = Eval.counters ()) fdb
   | _ ->
     let dset = Fset.create ~capacity:(List.length delta_tuples * 2) () in
     List.iter (fun t -> ignore (Fset.add dset t)) delta_tuples;
-    let envs, head = delta_envs stats fdb (activation_of s) dset in
-    List.rev_map (fun env -> eval_ids env head) envs
+    List.rev_map
+      (fun env -> eval_ids env s.is_act.b_head)
+      (delta_envs stats fdb s.is_act dset)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates — twins of [Eval.apply_agg_rule]'s two paths. *)
@@ -538,7 +484,7 @@ let apply_agg_rule_indexed (st : Eval.counters) fdb (a : Ast.atom)
     (Flat.groups fdb a.Ast.pred ~cols)
 
 let apply_agg_rule (st : Eval.counters) fdb (r : Ast.rule) : int array list =
-  match if !Eval.use_indexes then Eval.agg_index_shape r else None with
+  match Eval.agg_index_shape r with
   | Some (a, slots) -> apply_agg_rule_indexed st fdb a slots
   | None ->
     let ctx = mkctx () in
@@ -654,8 +600,7 @@ let apply_plain_rules (st : Eval.counters) fdb ?deltas ~rec_preds rules
             else begin
               let rest = List.filteri (fun j _ -> j <> i) r.Ast.body in
               let act = compile_activation ~card r delta_atom rest in
-              let envs, head = delta_envs st fdb act d in
-              produce head envs
+              produce act.b_head (delta_envs st fdb act d)
             end)
           positions)
     rules;

@@ -21,10 +21,10 @@
 
 type istrand
 (** A compiled strand: {!Plan.strand} with its delta decomposition
-    pre-planned and its body slot-compiled.  The compilation is
-    cardinality-independent (like {!Plan.execute_batch}'s planning), so
-    one compiled strand serves every batch; it is re-planned lazily if
-    {!Eval.use_reordering} changes. *)
+    pre-planned and its body slot-compiled, once, by {!of_strand}.  The
+    compilation is cardinality-independent (like
+    {!Plan.execute_batch}'s planning), so one compiled strand serves
+    every batch. *)
 
 val of_strand : Plan.strand -> istrand
 (** @raise Invalid_argument when the strand has no delta position. *)

@@ -10,7 +10,8 @@
 
    Executing a strand against a database (plus the triggering delta
    tuple) yields exactly the head tuples pipelined semi-naive evaluation
-   would produce, which the test suite checks against {!Eval.body_envs}.
+   would produce, which the test suite checks against {!Eval.body_envs}
+   and a reference evaluator's per-tuple delta activation.
    The distributed runtime's reaction to a tuple insertion is the
    execution of all strands whose delta predicate matches. *)
 

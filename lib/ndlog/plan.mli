@@ -9,8 +9,8 @@
 
     Executing a strand against a database (plus the triggering delta
     tuple) yields exactly the head tuples pipelined semi-naive
-    evaluation produces ({!Eval.body_envs} with a delta); this is
-    differentially tested. *)
+    evaluation produces for that one delta tuple; this is
+    differentially tested against a reference evaluator. *)
 
 (** Pipeline operators. *)
 type op =

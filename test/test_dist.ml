@@ -24,26 +24,35 @@ let contains ~affix s =
 let topo_of_links = Dist_cases.topo_of_links
 let localized = Dist_cases.localized
 
-(* Run a program distributed and centralized; compare a relation. *)
-let compare_dist_centralized ?(preds = [ "path"; "bestPath"; "bestPathCost" ])
-    program links =
+(* Run a program distributed and centralized: whether the distributed
+   run quiesced, and each relation among [preds] whose tuples differ,
+   with its centralized and distributed sizes. *)
+let dist_vs_centralized ~preds program links =
   let full = Programs.with_links program links in
   let central = Eval.run_exn full in
-  let loc = localized full in
-  let topo = topo_of_links links in
-  let rt = Runtime.create topo loc in
+  let rt = Runtime.create (topo_of_links links) (localized full) in
   Runtime.load_facts rt;
   let report = Runtime.run rt in
-  checkb "distributed run quiesced" true report.Runtime.stats.Netsim.Sim.quiesced;
   let dist_db = Runtime.global_store rt in
+  ( report.Runtime.stats.Netsim.Sim.quiesced,
+    List.filter_map
+      (fun pred ->
+        let a = Store.relation pred central.Eval.db in
+        let b = Store.relation pred dist_db in
+        if Store.Tset.equal a b then None
+        else Some (pred, Store.Tset.cardinal a, Store.Tset.cardinal b))
+      preds )
+
+(* Run a program distributed and centralized; compare relations. *)
+let compare_dist_centralized ?(preds = [ "path"; "bestPath"; "bestPathCost" ])
+    program links =
+  let quiesced, differing = dist_vs_centralized ~preds program links in
+  checkb "distributed run quiesced" true quiesced;
   List.iter
-    (fun pred ->
-      let a = Store.relation pred central.Eval.db in
-      let b = Store.relation pred dist_db in
-      if not (Store.Tset.equal a b) then
-        Alcotest.failf "relation %s differs:@.central=%d tuples, dist=%d tuples"
-          pred (Store.Tset.cardinal a) (Store.Tset.cardinal b))
-    preds
+    (fun (pred, central, dist) ->
+      Alcotest.failf "relation %s differs:@.central=%d tuples, dist=%d tuples"
+        pred central dist)
+    differing
 
 let test_dist_line () =
   compare_dist_centralized (Programs.path_vector ()) (Programs.line_links 3)
@@ -139,12 +148,15 @@ let test_dist_soft_state_expiry () =
   checki "expired later" 0 (alive_at "n1")
 
 (* ------------------------------------------------------------------ *)
-(* Inbox batching: the batched and per-message runtimes must agree. *)
+(* Inbox batching: the batched runtime must reach the centralized
+   fixpoint. *)
 
-let prop_batch_inbox_equivalence =
+(* Every relation the program derives, distributed (inbox-batched
+   deliveries, group-at-a-time strands) and centralized ({!Eval}),
+   over ring, grid, star and random topologies. *)
+let prop_dist_equals_centralized =
   QCheck.Test.make
-    ~name:
-      "batched inbox = per-message (fixpoint, node stores, total_inserts)"
+    ~name:"distributed = centralized (quiesced, every derived relation)"
     ~count:18
     QCheck.(triple (int_range 0 3) (int_range 3 7) (int_range 0 3))
     (fun (which, n, extra) ->
@@ -161,29 +173,22 @@ let prop_batch_inbox_equivalence =
         | 1 -> Programs.reachability ()
         | _ -> Programs.bounded_distance_vector ~max_hops:(n + 1)
       in
-      let p = localized (Programs.with_links prog links) in
-      let go ~batch_inbox =
-        let rt = Runtime.create ~batch_inbox (topo_of_links links) p in
-        Runtime.load_facts rt;
-        let rep = Runtime.run rt in
-        (rt, rep)
+      let preds =
+        List.sort_uniq String.compare
+          (List.map (fun (r : Ast.rule) -> r.Ast.head.Ast.head_pred) prog.Ast.rules)
       in
-      let rt_b, rep_b = go ~batch_inbox:true in
-      let rt_p, rep_p = go ~batch_inbox:false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      rep_b.Runtime.stats.Netsim.Sim.quiesced
-      && rep_p.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_b) (Runtime.global_store rt_p)
-      && rep_b.Runtime.total_inserts = rep_p.Runtime.total_inserts
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_b nm)
-               (Runtime.node_store rt_p nm))
-           nodes)
+      match dist_vs_centralized ~preds prog links with
+      | true, [] -> true
+      | quiesced, differing ->
+        QCheck.Test.fail_reportf "quiesced=%b, differing relations: %s" quiesced
+          (String.concat ", "
+             (List.map
+                (fun (p, c, d) -> Fmt.str "%s (central %d, dist %d)" p c d)
+                differing)))
 
 (* Two messages sent at the same instant over the same link land in one
    flush: the receiving strand runs once with a delta of two tuples
-   (one group), where the per-message runtime runs it twice. *)
+   (one group). *)
 let test_same_instant_burst_groups () =
   let src =
     {|
@@ -211,29 +216,17 @@ b2 u(@D,X) :- s(@D,X).
     Topo.add_duplex topo "n0" "n1";
     topo
   in
-  let go ~batch_inbox =
-    let rt = Runtime.create ~batch_inbox (topo ()) p in
-    Runtime.load_facts rt;
-    let rep = Runtime.run rt in
-    (rt, rep)
-  in
-  let rt_b, rep_b = go ~batch_inbox:true in
-  let rt_p, rep_p = go ~batch_inbox:false in
-  (* Both modes compute u(n1,1), u(n1,2) at n1. *)
-  checki "u derived at n1 (batched)" 2
-    (Store.cardinal "u" (Runtime.node_store rt_b "n1"));
-  checkb "same fixpoint" true
-    (Store.equal (Runtime.global_store rt_b) (Runtime.global_store rt_p));
-  let wb = rep_b.Runtime.wire_stats and wp = rep_p.Runtime.wire_stats in
-  (* Batched: two singleton b1 activations at n0 plus ONE b2 flush at
-     n1 covering both deliveries — 3 groups for 4 delta tuples. *)
+  let rt = Runtime.create (topo ()) p in
+  Runtime.load_facts rt;
+  let rep = Runtime.run rt in
+  checki "u derived at n1" 2 (Store.cardinal "u" (Runtime.node_store rt "n1"));
+  let wb = rep.Runtime.wire_stats in
+  (* Two singleton b1 activations at n0 plus ONE b2 flush at n1
+     covering both deliveries — 3 groups for 4 delta tuples. *)
   checki "batched delta tuples" 4 wb.Eval.delta_tuples;
   checki "batched groups" 3 wb.Eval.groups;
   checkb "groups strictly below delta count" true
-    (wb.Eval.groups < wb.Eval.delta_tuples);
-  (* Per-message: every activation is a singleton group. *)
-  checki "per-message delta tuples" 4 wp.Eval.delta_tuples;
-  checki "per-message groups" 4 wp.Eval.groups
+    (wb.Eval.groups < wb.Eval.delta_tuples)
 
 (* The full message trace of a run is deterministic: two identically
    configured runtimes produce identical traces. *)
@@ -420,112 +413,10 @@ let test_remote_view_check_accepts_canonical () =
        (Programs.parse_exn ship_view_src))
 
 (* ------------------------------------------------------------------ *)
-(* Incremental view refresh: the dirty-predicate tracking path must be
-   observationally identical to the from-scratch oracle, and must
-   actually skip work. *)
-
-(* Differential check: over every input of the shared generator
-   ({!Dist_cases}: localized view programs × topologies × sizes ×
-   refresh/expiry interleavings), the incremental and from-scratch
-   runtimes produce bit-identical per-node stores, global fixpoints,
-   message traces, and lease tables. *)
-let test_incremental_equivalence () =
-  List.iter
-    (fun c ->
-      let rt_i, rep_i = Dist_cases.run ~incremental_views:true c in
-      let rt_s, rep_s = Dist_cases.run ~incremental_views:false c in
-      let ok =
-        rep_i.Runtime.stats.Netsim.Sim.quiesced
-        && rep_s.Runtime.stats.Netsim.Sim.quiesced
-        && Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_s)
-        && rep_i.Runtime.total_inserts = rep_s.Runtime.total_inserts
-        && Netsim.Sim.trace (Runtime.simulator rt_i)
-           = Netsim.Sim.trace (Runtime.simulator rt_s)
-        && List.for_all
-             (fun nm ->
-               Store.equal (Runtime.node_store rt_i nm)
-                 (Runtime.node_store rt_s nm)
-               && Runtime.node_leases rt_i nm = Runtime.node_leases rt_s nm)
-             (Dist_cases.nodes c)
-      in
-      if not ok then
-        Alcotest.failf "%s: incremental and from-scratch runs differ"
-          (Dist_cases.name c))
-    Dist_cases.all
-
-(* The golden corpus: one line per generator input with the
-   incremental and from-scratch digests of its end state
-   ({!Dist_cases.corpus_line}), captured from the boxed and the
-   id-native executors, which agreed on every line.  Each input is its
-   own case, so a drift names its input. *)
-let corpus =
-  lazy
-    (In_channel.with_open_text "dist_corpus.txt" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter_map (fun line ->
-           match String.index_opt line ' ' with
-           | Some i -> Some (String.sub line 0 i, line)
-           | None -> None))
-
-let test_corpus c () =
-  match List.assoc_opt (Dist_cases.name c) (Lazy.force corpus) with
-  | None -> Alcotest.failf "%s: no golden line" (Dist_cases.name c)
-  | Some expected ->
-    Alcotest.(check string) "digests" expected (Dist_cases.corpus_line c)
-
-(* The view invariant, against centralized boxed evaluation: at a
-   quiesced end state, let F_m be the fixpoint of the view program over
-   node m's non-view relations.  Then node n stores exactly the
-   tuples of F_n it owns (or that have no owner) plus the tuples every
-   other F_m ships to n. *)
-let check_view_invariant c (rt, (rep : Runtime.run_report)) =
-  let p = Dist_cases.program c in
-  let view_preds, view_program, _ = Runtime.split_views p in
-  let info = Ndlog.Analysis.analyze_exn p in
-  let locs = Ndlog.Shard.loc_index_map view_program in
-  let nodes = Dist_cases.nodes c in
-  let fixpoint m =
-    let s = Runtime.node_store rt m in
-    let base =
-      Store.restrict
-        (List.filter (fun q -> not (List.mem q view_preds)) (Store.preds s))
-        s
-    in
-    (m, (Eval.seminaive view_program info base).Eval.db)
-  in
-  let fixpoints = List.map fixpoint nodes in
-  let owned pred f =
-    Store.Tset.filter (fun t ->
-        f (Ndlog.Shard.tuple_location (Hashtbl.find_opt locs pred) t))
-  in
-  checkb (Dist_cases.name c ^ " quiesced") true
-    rep.Runtime.stats.Netsim.Sim.quiesced;
-  List.iter
-    (fun n ->
-      List.iter
-        (fun pred ->
-          let expected =
-            List.fold_left
-              (fun acc (m, fm) ->
-                let rel = Store.relation pred fm in
-                Store.Tset.union acc
-                  (if m = n then
-                     owned pred (function Some o -> o = n | None -> true) rel
-                   else owned pred (fun o -> o = Some n) rel))
-              Store.Tset.empty fixpoints
-          in
-          let stored = Store.relation pred (Runtime.node_store rt n) in
-          if not (Store.Tset.equal expected stored) then
-            Alcotest.failf "%s: %s@%s stores %d tuples, views derive %d"
-              (Dist_cases.name c) pred n
-              (Store.Tset.cardinal stored)
-              (Store.Tset.cardinal expected))
-        view_preds)
-    nodes
-
-let test_view_invariant c () =
-  check_view_invariant c (Dist_cases.run ~incremental_views:true c);
-  check_view_invariant c (Dist_cases.run ~incremental_views:false c)
+(* Incremental view refresh: the dirty-predicate tracking path must
+   actually skip work.  Its equivalence with the from-scratch oracle,
+   the golden corpus and the view invariant pin the refresh mode per
+   case, so they live in [test_dist_modes] and run once. *)
 
 (* A view program whose support splits cleanly: [best]/[seen] depend on
    [obs] only, so a [noise] insertion must touch no view stratum. *)
@@ -1097,7 +988,7 @@ let () =
         ] );
       ( "batching",
         [
-          QCheck_alcotest.to_alcotest prop_batch_inbox_equivalence;
+          QCheck_alcotest.to_alcotest prop_dist_equals_centralized;
           Alcotest.test_case "same-instant burst groups" `Quick
             test_same_instant_burst_groups;
           Alcotest.test_case "trace determinism" `Quick test_trace_determinism;
@@ -1115,9 +1006,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case
-            "incremental = from-scratch refresh (stores, traces, leases)"
-            `Quick test_incremental_equivalence;
           Alcotest.test_case "dirty marks and clears" `Quick
             test_dirty_marks_and_clears;
           Alcotest.test_case "dirty marks expiry" `Quick
@@ -1130,17 +1018,6 @@ let () =
           Alcotest.test_case "remote-view printer and table" `Quick
             test_remote_view_printer_and_table;
         ] );
-      ( "corpus",
-        List.map
-          (fun c ->
-            Alcotest.test_case (Dist_cases.name c) `Quick (test_corpus c))
-          Dist_cases.all );
-      ( "view invariant",
-        List.map
-          (fun c ->
-            Alcotest.test_case (Dist_cases.name c) `Quick
-              (test_view_invariant c))
-          Dist_cases.all );
       ( "distance_vector",
         [
           Alcotest.test_case "converges" `Quick test_dv_converges;

@@ -389,7 +389,30 @@ pair(@a, 1, 1). pair(@a, 1, 2).
 eq(@X, A) :- pair(@X, A, B), A = B.
 |})
   in
-  checki "only the equal pair" 1 (Store.cardinal "eq" o.Eval.db)
+  checki "only the equal pair" 1 (Store.cardinal "eq" o.Eval.db);
+  (* The same filter inside a batched delta join: t is a delta relation
+     of g's stratum, and Y = Z runs in the join's per-group shared
+     phase, so it binds the delta variable Y before each delta tuple's
+     own Y is merged in — a conflicting merge must drop the tuple. *)
+  let p =
+    parse_ok
+      {|
+s(@a, 1). s(@a, 2). f(@a, 1).
+t(@X, Y) :- s(@X, Y).
+g(@X, Y) :- t(@X, Y), f(@X, Z), Y = Z.
+|}
+  in
+  let o = Eval.run_exn p and reference = Ref_eval.run p in
+  checki "batched: only the equal pair" 1 (Store.cardinal "g" o.Eval.db);
+  checkb "batched = reference" true
+    (Store.equal o.Eval.db reference.Ref_eval.db
+    && o.Eval.derivations = reference.Ref_eval.derivations);
+  match Ndlog.Ideval.run_program p with
+  | Ok (db, oc) ->
+    checkb "id-native = reference" true
+      (Store.equal db reference.Ref_eval.db
+      && oc.Ndlog.Ideval.derivations = reference.Ref_eval.derivations)
+  | Error e -> Alcotest.failf "analysis: %a" Analysis.pp_error e
 
 (* Reference shortest-path (Dijkstra-free: Bellman-Ford) for comparison. *)
 let reference_distances links n =
@@ -633,43 +656,58 @@ let test_index_canonicity () =
   checki "compare zero" 0 (Store.compare a b);
   checki "same hash" (Store.hash a) (Store.hash b)
 
-(* Run with the join optimizations on or off (off = the pre-index
-   nested-loop engine: full scans, source-order bodies). *)
-let run_with ~optimized p =
-  Eval.use_indexes := optimized;
-  Eval.use_reordering := optimized;
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.use_indexes := true;
-      Eval.use_reordering := true)
-    (fun () -> Eval.run_exn p)
+(* The engine's fast paths — index lookups, most-bound-first body
+   order, group-at-a-time delta joins, grouped aggregate probes, and
+   their id-native twin — against the textbook reference evaluator
+   (source-order nested loops, one activation per delta tuple,
+   aggregates by enumeration).  One property per program, so a failure
+   names it: path-vector, reachability, bounded distance-vector and
+   link-state, each over random (two seed families), ring and grid
+   topologies. *)
+let agrees_with_reference (o : Eval.outcome) (r : Ref_eval.outcome) =
+  Store.equal o.Eval.db r.Ref_eval.db
+  && o.Eval.rounds = r.Ref_eval.rounds
+  && o.Eval.derivations = r.Ref_eval.derivations
+  && o.Eval.converged = r.Ref_eval.converged
 
-let prop_indexed_equals_nested_loop =
+let prop_seminaive_equals_reference (name, prog) =
   QCheck.Test.make
-    ~name:"indexed evaluation = pre-index nested loop (fixpoint, rounds)"
+    ~name:
+      (Printf.sprintf
+         "semi-naive = reference evaluator on %s (db, rounds, derivations, \
+          converged)"
+         name)
     ~count:40
     QCheck.(triple (int_range 0 3) (int_range 2 7) (int_range 0 4))
-    (fun (which, n, extra) ->
+    (fun (topo, n, extra) ->
       let links =
-        match which with
-        | 0 | 1 -> Programs.random_links ~seed:((11 * n) + extra + which) ~extra n
+        match topo with
+        | 0 | 1 ->
+          let k = if topo = 0 then 11 else 13 in
+          Programs.random_links ~seed:((k * n) + extra) ~extra n
         | 2 -> Programs.ring_links n
         | _ -> Programs.grid_links (2 + (n mod 2))
       in
-      let prog =
-        match which with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.reachability ()
-        | 2 -> Programs.bounded_distance_vector ~max_hops:n
-        | _ -> Programs.link_state ~max_hops:4
-      in
-      let p = Programs.with_links prog links in
-      let a = run_with ~optimized:true p in
-      let b = run_with ~optimized:false p in
-      Store.equal a.Eval.db b.Eval.db
-      && a.Eval.rounds = b.Eval.rounds
-      && a.Eval.converged = b.Eval.converged
-      && a.Eval.derivations = b.Eval.derivations)
+      let p = Programs.with_links (prog n) links in
+      let reference = Ref_eval.run p in
+      agrees_with_reference (Eval.run_exn p) reference
+      &&
+      match Ndlog.Ideval.run_program p with
+      | Error _ -> false
+      | Ok (db, oc) ->
+        Store.equal db reference.Ref_eval.db
+        && oc.Ndlog.Ideval.rounds = reference.Ref_eval.rounds
+        && oc.Ndlog.Ideval.derivations = reference.Ref_eval.derivations
+        && oc.Ndlog.Ideval.converged = reference.Ref_eval.converged)
+
+let reference_programs =
+  [
+    ("path-vector", fun _ -> Programs.path_vector ());
+    ("reachability", fun _ -> Programs.reachability ());
+    ( "bounded distance-vector",
+      fun n -> Programs.bounded_distance_vector ~max_hops:n );
+    ("link-state", fun _ -> Programs.link_state ~max_hops:4);
+  ]
 
 let test_order_body_most_bound_first () =
   let p = parse_ok {| h(@X,Z) :- big(@X,Y), small(@Y,Z), Y > 0. |} in
@@ -691,12 +729,7 @@ let test_order_body_most_bound_first () =
        [ List.nth body 0; List.nth body 2 ]
    with
   | [ Ast.Cond _; Ast.Pos _ ] -> ()
-  | _ -> Alcotest.fail "filter should run first once Y is bound");
-  (* switched off, the body is untouched *)
-  Eval.use_reordering := false;
-  let id = Eval.order_body ~card body == body in
-  Eval.use_reordering := true;
-  checkb "identity when disabled" true id
+  | _ -> Alcotest.fail "filter should run first once Y is bound")
 
 let test_eval_stats_counted () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
@@ -704,12 +737,10 @@ let test_eval_stats_counted () =
   checkb "index hits counted" true (st.Eval.index_hits > 0);
   checkb "scans counted" true (st.Eval.scans > 0);
   checkb "matched within enumerated" true (st.Eval.matched <= st.Eval.enumerated);
-  (* with the index layer off, every join is a scan *)
-  Eval.use_indexes := false;
-  let off = (Eval.run_exn p).Eval.stats in
-  Eval.use_indexes := true;
-  checki "no hits when disabled" 0 off.Eval.index_hits;
-  checkb "strictly more tuples visited" true (off.Eval.enumerated > st.Eval.enumerated)
+  (* the reference evaluator's whole-relation scans visit strictly more
+     candidate tuples than the indexed, batched joins *)
+  checkb "fewer tuples visited than the reference" true
+    (st.Eval.enumerated < (Ref_eval.run p).Ref_eval.visits)
 
 let test_eval_stats_per_run () =
   (* Per-run isolation: two identical runs report identical counters
@@ -1094,19 +1125,20 @@ let test_plan_delta_equals_eval () =
   let db = o.Eval.db in
   let r2 = List.nth p.Ast.rules 1 in
   let strand = Plan.compile_strand r2 ~delta:1 in
-  (* for every path tuple as delta, plan output = eval-with-delta *)
+  (* for every path tuple as delta, plan output = the reference
+     evaluator's activation of r2 on that tuple *)
   List.iter
     (fun t ->
       let via_plan =
         Plan.execute db ~delta_tuple:t strand
         |> List.sort_uniq Store.Tuple.compare
       in
-      let via_eval =
-        Eval.body_envs db ~delta:(1, Store.Tset.singleton t) r2.Ast.body
+      let via_ref =
+        Ref_eval.activation db r2 1 t
         |> List.map (fun env -> Eval.head_tuple env r2.Ast.head)
         |> List.sort_uniq Store.Tuple.compare
       in
-      checkb "delta strand agrees" true (via_plan = via_eval))
+      checkb "delta strand agrees" true (via_plan = via_ref))
     (Store.tuples "path" db)
 
 let test_plan_program_strands () =
@@ -1280,43 +1312,6 @@ let prop_every_tuple_explainable =
 (* ------------------------------------------------------------------ *)
 (* Batched delta joins. *)
 
-(* Run with the batched delta join on or off (off = one environment
-   seeded per delta tuple, the PR 1 engine). *)
-let run_batched ~batched p =
-  Eval.use_batching := batched;
-  Fun.protect
-    ~finally:(fun () -> Eval.use_batching := true)
-    (fun () -> Eval.run_exn p)
-
-let prop_batched_equals_per_tuple =
-  QCheck.Test.make
-    ~name:
-      "batched delta join = per-tuple semi-naive (fixpoint, rounds, \
-       derivations)"
-    ~count:40
-    QCheck.(triple (int_range 0 3) (int_range 2 7) (int_range 0 4))
-    (fun (which, n, extra) ->
-      let links =
-        match which with
-        | 0 | 1 -> Programs.random_links ~seed:((13 * n) + extra + which) ~extra n
-        | 2 -> Programs.ring_links n
-        | _ -> Programs.grid_links (2 + (n mod 2))
-      in
-      let prog =
-        match which with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.reachability ()
-        | 2 -> Programs.bounded_distance_vector ~max_hops:n
-        | _ -> Programs.link_state ~max_hops:4
-      in
-      let p = Programs.with_links prog links in
-      let a = run_batched ~batched:true p in
-      let b = run_batched ~batched:false p in
-      Store.equal a.Eval.db b.Eval.db
-      && a.Eval.rounds = b.Eval.rounds
-      && a.Eval.converged = b.Eval.converged
-      && a.Eval.derivations = b.Eval.derivations)
-
 let test_group_formation () =
   (* r(@X,Z) :- e(@X,Y), f(@Y,Z) with e as the delta: the rest reads Y,
      so the delta groups by its Y column. *)
@@ -1352,28 +1347,28 @@ let test_group_formation () =
   checki "distinct keys: two groups" 2 st.Eval.groups
 
 let test_batched_stats_counted () =
-  let p =
-    Programs.with_links (Programs.reachability ()) (Programs.grid_links 4)
-  in
-  let on = run_batched ~batched:true p in
-  let off = run_batched ~batched:false p in
-  checkb "same fixpoint" true (Store.equal on.Eval.db off.Eval.db);
-  checki "same derivations" off.Eval.derivations on.Eval.derivations;
-  checkb "groups counted" true (on.Eval.stats.Eval.groups > 0);
-  checkb "group probes counted" true (on.Eval.stats.Eval.group_probes > 0);
-  checki "no groups when off" 0 off.Eval.stats.Eval.groups;
-  checki "no group probes when off" 0 off.Eval.stats.Eval.group_probes;
-  checkb "batching enumerates fewer tuples" true
-    (on.Eval.stats.Eval.enumerated < off.Eval.stats.Eval.enumerated);
-  (* the path-vector body (assignments, a negation, a builtin) exercises
-     the shared/per-tuple split the same way *)
-  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 6) in
-  let on = run_batched ~batched:true p in
-  let off = run_batched ~batched:false p in
-  checkb "path-vector fixpoint" true (Store.equal on.Eval.db off.Eval.db);
-  checki "path-vector derivations" off.Eval.derivations on.Eval.derivations;
-  checkb "path-vector enumerates fewer" true
-    (on.Eval.stats.Eval.enumerated < off.Eval.stats.Eval.enumerated)
+  (* reachability, and the path-vector body (assignments, a negation, a
+     builtin), which exercises the shared/per-tuple split *)
+  List.iter
+    (fun (name, p) ->
+      let on = Eval.run_exn p and reference = Ref_eval.run p in
+      let st = on.Eval.stats in
+      checkb (name ^ ": same fixpoint") true
+        (Store.equal on.Eval.db reference.Ref_eval.db);
+      checki (name ^ ": same derivations") reference.Ref_eval.derivations
+        on.Eval.derivations;
+      checkb (name ^ ": groups counted") true (st.Eval.groups > 0);
+      checkb (name ^ ": group probes counted") true (st.Eval.group_probes > 0);
+      checkb (name ^ ": groups within delta tuples") true
+        (st.Eval.groups <= st.Eval.delta_tuples);
+      checkb (name ^ ": enumerates fewer tuples than the reference") true
+        (st.Eval.enumerated < reference.Ref_eval.visits))
+    [
+      ( "reachability",
+        Programs.with_links (Programs.reachability ()) (Programs.grid_links 4) );
+      ( "path-vector",
+        Programs.with_links (Programs.path_vector ()) (Programs.ring_links 6) );
+    ]
 
 let test_execute_batch () =
   (* The batched strand executor = per-tuple strand execution over the
@@ -1407,11 +1402,11 @@ let test_localized_batched () =
      batches the same way: identical fixpoint and derivations, with the
      delta grouped. *)
   let p = localized_program (Programs.reachability ()) (Programs.grid_links 3) in
-  let on = run_batched ~batched:true p in
-  let off = run_batched ~batched:false p in
-  checkb "same fixpoint" true (Store.equal on.Eval.db off.Eval.db);
-  checki "same derivations" off.Eval.derivations on.Eval.derivations;
-  checki "same rounds" off.Eval.rounds on.Eval.rounds;
+  let on = Eval.run_exn p in
+  let reference = Ref_eval.run p in
+  checkb "same fixpoint" true (Store.equal on.Eval.db reference.Ref_eval.db);
+  checki "same derivations" reference.Ref_eval.derivations on.Eval.derivations;
+  checki "same rounds" reference.Ref_eval.rounds on.Eval.rounds;
   checkb "groups counted" true (on.Eval.stats.Eval.groups > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -1442,10 +1437,8 @@ let test_agg_fast_path () =
   in
   let both r =
     let fast = agg_outputs db r in
-    Eval.use_indexes := false;
-    let slow = agg_outputs db r in
-    Eval.use_indexes := true;
-    checkb "fast path = enumeration" true (Store.Tset.equal fast slow);
+    checkb "fast path = reference enumeration" true
+      (Store.Tset.equal fast (Store.Tset.of_list (Ref_eval.aggregate db r)));
     fast
   in
   let best = both (rule_of {| best(@S,D,min<C>) :- path(@S,D,C). |}) in
@@ -1904,15 +1897,13 @@ let test_ideval_execute_batch () =
 
 (* Differential property: the id-native evaluator is a faithful twin of
    the boxed one — identical fixpoints, rounds, derivation counts, and
-   join statistics over random programs, topologies, and optimization
-   flag settings (indexes / reordering / batching). *)
+   join statistics over random programs and topologies. *)
 let prop_ideval_equals_eval =
   QCheck.Test.make
     ~name:"id-native = boxed evaluation (db, rounds, derivations, stats)"
     ~count:20
-    QCheck.(
-      quad (int_range 0 2) (int_range 3 7) (int_range 0 3) (int_range 0 7))
-    (fun (prog_i, n, extra, flags) ->
+    QCheck.(triple (int_range 0 2) (int_range 3 7) (int_range 0 3))
+    (fun (prog_i, n, extra) ->
       let links = Programs.random_links ~seed:((23 * n) + extra) ~extra n in
       let prog =
         match prog_i with
@@ -1921,30 +1912,17 @@ let prop_ideval_equals_eval =
         | _ -> Programs.link_state ~max_hops:(n + 1)
       in
       let p = Programs.with_links prog links in
-      let saved =
-        (!Eval.use_indexes, !Eval.use_reordering, !Eval.use_batching)
-      in
-      Eval.use_indexes := flags land 1 = 0;
-      Eval.use_reordering := flags land 2 = 0;
-      Eval.use_batching := flags land 4 = 0;
-      Fun.protect
-        ~finally:(fun () ->
-          let i, r, b = saved in
-          Eval.use_indexes := i;
-          Eval.use_reordering := r;
-          Eval.use_batching := b)
-        (fun () ->
-          let boxed = Eval.run_exn p in
-          match Ideval.run_program p with
-          | Error e ->
-            QCheck.Test.fail_reportf "id-native analysis failed: %a"
-              Analysis.pp_error e
-          | Ok (db, oc) ->
-            Store.equal db boxed.Eval.db
-            && oc.Ideval.rounds = boxed.Eval.rounds
-            && oc.Ideval.derivations = boxed.Eval.derivations
-            && oc.Ideval.converged = boxed.Eval.converged
-            && oc.Ideval.stats = boxed.Eval.stats))
+      let boxed = Eval.run_exn p in
+      match Ideval.run_program p with
+      | Error e ->
+        QCheck.Test.fail_reportf "id-native analysis failed: %a"
+          Analysis.pp_error e
+      | Ok (db, oc) ->
+        Store.equal db boxed.Eval.db
+        && oc.Ideval.rounds = boxed.Eval.rounds
+        && oc.Ideval.derivations = boxed.Eval.derivations
+        && oc.Ideval.converged = boxed.Eval.converged
+        && oc.Ideval.stats = boxed.Eval.stats)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2060,15 +2038,15 @@ let () =
           Alcotest.test_case "per-run stats" `Quick test_eval_stats_per_run;
           Alcotest.test_case "aggregate fast path" `Quick test_agg_fast_path;
         ]
-        @ qsuite [ prop_indexed_equals_nested_loop ] );
+        @ qsuite
+            (List.map prop_seminaive_equals_reference reference_programs) );
       ( "batched",
         [
           Alcotest.test_case "group formation" `Quick test_group_formation;
           Alcotest.test_case "stats" `Quick test_batched_stats_counted;
           Alcotest.test_case "strand batch executor" `Quick test_execute_batch;
           Alcotest.test_case "localized program" `Quick test_localized_batched;
-        ]
-        @ qsuite [ prop_batched_equals_per_tuple ] );
+        ] );
       ( "localize",
         [
           Alcotest.test_case "path-vector rewrite" `Quick
